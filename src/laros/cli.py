@@ -55,14 +55,16 @@ def _emit(record, output):
         sys.stdout.write(text)
 
 
-def _solver_config(args):
-    tol = args.tol
-    return SolverConfig(theta=args.theta,
+def _solver_config(args, theta):
+    def tol(override):
+        return args.tol if override is None else override
+
+    return SolverConfig(theta=theta,
                         penalty=args.penalty,
                         max_iters=args.max_iters,
-                        tol_primal=args.tol_primal or tol,
-                        tol_dual=args.tol_dual or tol,
-                        tol_gap=args.tol_gap or tol,
+                        tol_primal=tol(args.tol_primal),
+                        tol_dual=tol(args.tol_dual),
+                        tol_gap=tol(args.tol_gap),
                         support_tol=args.support_tol)
 
 
@@ -91,7 +93,7 @@ def _add_io_flags(sub):
 
 def _cmd_solve(args):
     a = parse_matrix(args.input, args.format)
-    config = _solver_config(args)
+    config = _solver_config(args, args.theta)
     sol = solve(a, config)
     result = {
         "sigma": sol.sigma,
@@ -231,7 +233,7 @@ def _cmd_nmf(args):
     a = parse_matrix(args.input, args.format)
     thetas = [float(t) for t in args.theta.split(",")]
     theta = thetas[0] if len(thetas) == 1 else thetas
-    config = _solver_config_with(args, thetas[0])
+    config = _solver_config(args, thetas[0])
     res = greedy_extract(a, args.features, theta, config)
     write_matrix(args.w_output, res.w)
     write_matrix(args.h_output, res.h)
@@ -251,16 +253,6 @@ def _cmd_nmf(args):
     return result, inputs, params
 
 
-def _solver_config_with(args, theta):
-    return SolverConfig(theta=theta,
-                        penalty=args.penalty,
-                        max_iters=args.max_iters,
-                        tol_primal=args.tol_primal or args.tol,
-                        tol_dual=args.tol_dual or args.tol,
-                        tol_gap=args.tol_gap or args.tol,
-                        support_tol=args.support_tol)
-
-
 def _cmd_biclique(args):
     theta = args.theta
     if theta is None:
@@ -269,7 +261,7 @@ def _cmd_biclique(args):
                           args.seed)
     if args.matrix_output:
         write_matrix(args.matrix_output, inst.a)
-    config = _solver_config_with(args, theta)
+    config = _solver_config(args, theta)
     sol = solve(inst.a, config)
     rows, cols, complete = top_block(inst.a, sol, args.M, args.N)
     exact = (list(rows) == list(inst.truth.rows)
@@ -356,13 +348,7 @@ def build_parser():
     p.add_argument("--theta", required=True,
                    help="l1 weight, or a comma-separated per-round schedule")
     p.add_argument("--features", type=int, required=True)
-    p.add_argument("--penalty", type=float, default=1.0)
-    p.add_argument("--max-iters", type=int, default=50000)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--tol-primal", type=float, default=None)
-    p.add_argument("--tol-dual", type=float, default=None)
-    p.add_argument("--tol-gap", type=float, default=None)
-    p.add_argument("--support-tol", type=float, default=1e-6)
+    _add_solver_flags(p, theta_required=False)
     p.add_argument("--w-output", required=True)
     p.add_argument("--h-output", required=True)
     p.set_defaults(func=_cmd_nmf)
@@ -377,13 +363,7 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta", type=float, default=None,
                    help="default: 1/sqrt(M*N)")
-    p.add_argument("--penalty", type=float, default=1.0)
-    p.add_argument("--max-iters", type=int, default=50000)
-    p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--tol-primal", type=float, default=None)
-    p.add_argument("--tol-dual", type=float, default=None)
-    p.add_argument("--tol-gap", type=float, default=None)
-    p.add_argument("--support-tol", type=float, default=1e-6)
+    _add_solver_flags(p, theta_required=False)
     p.add_argument("--matrix-output", default=None)
     p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_biclique)

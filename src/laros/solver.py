@@ -9,6 +9,7 @@ that is checked at stopping time and exposed to callers.
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,26 +50,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
 
 
-@dataclass
-class SolverState:
-    """Final iterate internals, kept for dual-certificate recovery."""
-
-    a: np.ndarray
-    theta: float
-    rho: float
-    xbar: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    u3: np.ndarray
-    iterations: int
-    converged: bool
-    primal_residual: float
-    dual_residual: float
-    cert_residual: float
-    history: list = field(default_factory=list)
-    fp_residuals: list = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class DualCertificate:
     """Decomposition A = Y + Z certifying (near-)optimality.
@@ -88,6 +69,23 @@ class DualCertificate:
     lambda_star: float
     spectral_gap: float
     linf_argmax_count: int
+
+
+@dataclass
+class SolverState:
+    """Stopping residuals of a solve and the dual certificate built at its
+    last check (the final iterate)."""
+
+    a: np.ndarray
+    theta: float
+    iterations: int
+    converged: bool
+    primal_residual: float
+    dual_residual: float
+    cert_residual: float
+    certificate: DualCertificate
+    history: list = field(default_factory=list)
+    fp_residuals: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -175,8 +173,21 @@ def extract_rank_one(x, support_tol=1e-6, rank_tol=1e-6):
                         rows, cols, rank_one)
 
 
-def _certificate(a, theta, rho, xbar, u2):
-    """Build (x_report, certificate pieces) from the current iterate.
+class _Check(NamedTuple):
+    """Certificate pieces at one iterate, from one certificate check."""
+
+    x_rep: np.ndarray         # candidate normalized to <A, x_rep> = 1
+    lam: float                # ||x_rep||_theta
+    y: np.ndarray
+    z: np.ndarray
+    sy: np.ndarray            # singular values of y
+    nuc: float                # ||x_rep / lam||_*
+    dual: float               # max{||Y||, ||Z||_inf/theta}
+    residual: float           # max(balance, alignment), relative
+
+
+def _check(a, theta, rho, xbar, u2):
+    """Certificate A = Y + Z at the current iterate and its residual.
 
     The l1-side multiplier G2 = rho*(v2 - prox(v2)) is an exact subgradient
     of theta*||.||_1 at the thresholded copy, so Z = G2/objective satisfies
@@ -196,11 +207,7 @@ def _certificate(a, theta, rho, xbar, u2):
     lam = theta_norm(x_rep, theta)
     z = g2 / lam
     y = a - z
-    return x_rep, lam, y, z
 
-
-def _cert_residuals(a, theta, x_rep, lam, y, z):
-    """Relative residuals (balance, alignment) of the recovered certificate."""
     sy = np.linalg.svd(y, compute_uv=False)
     ny = float(sy[0])
     nz = float(np.abs(z).max())
@@ -210,7 +217,22 @@ def _cert_residuals(a, theta, x_rep, lam, y, z):
     balance = abs(ny - nz / theta) / scale if theta > 0 else nz / scale
     nuc = norm(xs, "nuclear")
     align = abs(float(np.vdot(xs, y)) - nuc * ny) / scale
-    return balance, align, sy
+    return _Check(x_rep, lam, y, z, sy, nuc, max(ny, d_z),
+                  max(balance, align))
+
+
+def _dual_certificate(chk):
+    """The DualCertificate of a check; alpha and beta are the nuclear and
+    l1 norms of the scaled solution, so alpha + theta*beta = 1."""
+    sy = chk.sy
+    zabs = np.abs(chk.z)
+    zmax = float(zabs.max())
+    ties = int(np.sum(zabs >= zmax * (1.0 - 1e-8))) if zmax > 0 else 0
+    return DualCertificate(
+        y=chk.y, z=chk.z, alpha=chk.nuc, beta=norm(chk.x_rep / chk.lam, "l1"),
+        dual_norm=chk.dual, lambda_star=1.0 / chk.dual,
+        spectral_gap=float(sy[0] - sy[1]) if sy.size > 1 else float(sy[0]),
+        linf_argmax_count=ties)
 
 
 def solve(a, config):
@@ -220,7 +242,8 @@ def solve(a, config):
     thresholding), l1 prox (soft thresholding), and halfspace projection.
     Stops when copy disagreement, consensus drift, and the certificate
     residual all fall below the configured tolerances. On non-convergence
-    the final iterate is returned with converged=False.
+    the final iterate is returned with converged=False. Either way the
+    dual certificate is the one checked at the final iterate.
     """
     am = as_matrix(a)
     if not am.any():
@@ -238,11 +261,10 @@ def solve(a, config):
     history = []
     fp_residuals = []
     prev_inputs = None
-    r_rel = s_rel = cert_res = math.inf
     converged = False
-    k = 0
-    while k < config.max_iters:
-        k += 1
+    # the loop always checks at k == max_iters and stops only right after
+    # a passing check, so the last check is always of the final iterate
+    for k in range(1, config.max_iters + 1):
         x1 = svt(xbar - u1, 1.0 / rho)
         x2 = soft_threshold(xbar - u2, theta / rho)
         v3 = xbar - u3
@@ -268,15 +290,10 @@ def solve(a, config):
                 fp_residuals.append(float(np.linalg.norm(inputs - prev_inputs)))
             prev_inputs = inputs
 
-        check = (k % config.check_every == 0) or k == config.max_iters
-        if not check:
+        if k % config.check_every and k != config.max_iters:
             continue
-        x_rep, lam, y, z = _certificate(am, theta, rho, xbar, u2)
-        balance, align, _ = _cert_residuals(am, theta, x_rep, lam, y, z)
-        cert_res = max(balance, align)
+        chk = _check(am, theta, rho, xbar, u2)
         if config.track_history:
-            d_val = max(float(np.linalg.svd(y, compute_uv=False)[0]),
-                        float(np.abs(z).max()) / theta if theta > 0 else 0.0)
             merit = (theta_norm(xbar, theta)
                      + rho * max(0.0, 1.0 - float(np.vdot(am, xbar))))
             history.append({
@@ -284,49 +301,39 @@ def solve(a, config):
                 "merit": merit,
                 "primal_residual": r_rel,
                 "dual_residual": s_rel,
-                "weak_duality_slack": d_val - 1.0 / lam,
+                "weak_duality_slack": chk.dual - 1.0 / chk.lam,
             })
         if r_rel <= config.tol_primal and s_rel <= config.tol_dual \
-                and cert_res <= config.tol_gap:
+                and chk.residual <= config.tol_gap:
             converged = True
             break
 
-    state = SolverState(a=am, theta=theta, rho=rho, xbar=xbar,
-                        u1=u1, u2=u2, u3=u3, iterations=k,
+    cert = _dual_certificate(chk)
+    state = SolverState(a=am, theta=theta, iterations=k,
                         converged=converged, primal_residual=r_rel,
-                        dual_residual=s_rel, cert_residual=cert_res,
-                        history=history, fp_residuals=fp_residuals)
-    return _finish(state, config)
-
-
-def _finish(state, config):
-    am, theta = state.a, state.theta
-    x_rep, lam, y, z = _certificate(am, theta, state.rho, state.xbar,
-                                    state.u2)
-    sy = np.linalg.svd(y, compute_uv=False)
-    ny = float(sy[0])
-    d_val = max(ny, float(np.abs(z).max()) / theta if theta > 0 else 0.0)
-    gap = max(0.0, d_val - 1.0 / lam) * lam
-
-    parts = extract_rank_one(x_rep, support_tol=config.support_tol)
-    gap_y = float(sy[0] - sy[1]) if sy.size > 1 else float(sy[0])
-    zmax = float(np.abs(z).max())
-    ties = int(np.sum(np.abs(z) >= zmax * (1.0 - 1e-8))) if zmax > 0 else 0
-    unique_spectral = gap_y > 1e-8 * max(ny, 1e-300)
-    unique_linf = theta > 0 and ties == 1
-    return Solution(x=x_rep, sigma=parts.sigma, u=parts.u, v=parts.v,
+                        dual_residual=s_rel, cert_residual=chk.residual,
+                        certificate=cert, history=history,
+                        fp_residuals=fp_residuals)
+    lam = chk.lam
+    gap = max(0.0, cert.dual_norm - 1.0 / lam) * lam
+    parts = extract_rank_one(chk.x_rep, support_tol=config.support_tol)
+    unique_spectral = cert.spectral_gap > 1e-8 * max(float(chk.sy[0]), 1e-300)
+    unique_linf = theta > 0 and cert.linf_argmax_count == 1
+    return Solution(x=chk.x_rep, sigma=parts.sigma, u=parts.u, v=parts.v,
                     support_rows=parts.rows, support_cols=parts.cols,
-                    objective=lam, gap=gap, iterations=state.iterations,
-                    converged=state.converged,
+                    objective=lam, gap=gap, iterations=k,
+                    converged=converged,
                     non_unique=not (unique_spectral or unique_linf),
                     state=state)
 
 
 def recover_dual(a, theta, state):
-    """Dual certificate (Y, Z, alpha, beta) from a converged solver state.
+    """Dual certificate (Y, Z, alpha, beta) of a converged solve.
 
-    Y + Z = a holds exactly by construction; alpha and beta are the nuclear
-    and l1 norms of the scaled solution, so alpha + theta*beta = 1.
+    Returns the certificate built at the solve's last check, without new
+    computation. Y + Z = a holds exactly by construction; alpha and beta
+    are the nuclear and l1 norms of the scaled solution, so
+    alpha + theta*beta = 1.
     """
     am = as_matrix(a)
     if not state.converged:
@@ -335,20 +342,7 @@ def recover_dual(a, theta, state):
             f"(stopped after {state.iterations} iterations)")
     if am.shape != state.a.shape or theta != state.theta:
         raise ValueError("state does not match the given problem")
-    x_rep, lam, y, z = _certificate(am, theta, state.rho, state.xbar, state.u2)
-    xs = x_rep / lam
-    alpha = norm(xs, "nuclear")
-    beta = norm(xs, "l1")
-    sy = np.linalg.svd(y, compute_uv=False)
-    ny = float(sy[0])
-    d_val = max(ny, float(np.abs(z).max()) / theta if theta > 0 else ny)
-    zmax = float(np.abs(z).max())
-    ties = int(np.sum(np.abs(z) >= zmax * (1.0 - 1e-8))) if zmax > 0 else 0
-    return DualCertificate(
-        y=y, z=z, alpha=alpha, beta=beta, dual_norm=d_val,
-        lambda_star=1.0 / d_val,
-        spectral_gap=float(sy[0] - sy[1]) if sy.size > 1 else float(sy[0]),
-        linf_argmax_count=ties)
+    return state.certificate
 
 
 def check_optimality(a, theta, x, cert):

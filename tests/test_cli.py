@@ -64,6 +64,15 @@ class TestSolveCommand:
                     "--theta", "0.5"])
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--tol-primal", "--tol-dual",
+                                      "--tol-gap"])
+    def test_zero_tolerance_rejected(self, demo_matrix, capsys, flag):
+        code = run(["solve", "--input", demo_matrix, "--theta", "0.5",
+                    flag, "0"])
+        assert code == 1
+        name = flag[2:].replace("-", "_")
+        assert f"{name} must lie in (0, 1)" in capsys.readouterr().err
+
     def test_reproducible_records(self, demo_matrix, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = ["solve", "--input", demo_matrix, "--theta", "0.5"]

@@ -229,6 +229,28 @@ class TestRecoverDual:
         with pytest.raises(CertificateUnavailableError):
             recover_dual(a, 0.4, sol.state)
 
+    def test_mismatched_problem_rejected(self):
+        a = np.random.default_rng(8).random((5, 5))
+        sol = solve(a, tight(0.4))
+        assert sol.converged
+        with pytest.raises(ValueError):
+            recover_dual(a[:, :4], 0.4, sol.state)
+        with pytest.raises(ValueError):
+            recover_dual(a, 0.5, sol.state)
+
+    def test_returns_certificate_built_during_solve(self, monkeypatch):
+        a = two_block_matrix()
+        sol = solve(a, tight(0.5))
+        assert sol.converged
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("recover_dual must not take an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        cert = recover_dual(a, 0.5, sol.state)
+        assert cert is sol.state.certificate
+        np.testing.assert_allclose(cert.y + cert.z, a, rtol=0, atol=1e-12)
+
 
 class TestSolverInvariants:
     def test_weak_duality_along_iterates(self):
