@@ -7,8 +7,8 @@ __version__ = "0.1.0"
 from .analysis import (BlockSelector, PlantedCertificateReport, RegimeReport,
                        RowRatioReport, build_planted_certificate,
                        row_ratio_check, row_zero_threshold,
-                       subgaussian_tail_bound, theta_A, theta_B, top_block,
-                       validate_planted_regime)
+                       row_zero_thresholds, subgaussian_tail_bound, theta_A,
+                       theta_B, top_block, validate_planted_regime)
 from .generate import (PlantedInstance, PlantedModel, plant_biclique,
                        plant_rank_one, sample_noise, two_block_matrix)
 from .linalg import (SvdFactors, linf_subgrad, norm, project_halfspace,
@@ -28,7 +28,8 @@ __all__ = [
     "check_optimality", "dual_theta_norm", "extract_rank_one",
     "greedy_extract", "linf_subgrad", "norm", "plant_biclique",
     "plant_rank_one", "project_halfspace", "recover_dual", "residual_update",
-    "row_ratio_check", "row_zero_threshold", "sample_noise",
+    "row_ratio_check", "row_zero_threshold", "row_zero_thresholds",
+    "sample_noise",
     "soft_threshold", "solve", "spectral_subgrad", "subgaussian_tail_bound",
     "svd", "svt", "theta_A", "theta_B", "theta_norm", "top_block",
     "two_block_matrix", "validate_planted_regime",

@@ -108,6 +108,28 @@ def row_zero_threshold(a, i, j):
     return 1.0 / (alpha - 1.0)
 
 
+def row_zero_thresholds(a):
+    """Table of row_zero_threshold(a, i, j) over all row pairs, None on the
+    diagonal, as a list of rows.
+
+    Computed from the row minima and maxima with the same floating-point
+    operations as the per-pair function, so every value is bit-identical.
+    """
+    am = as_matrix(a)
+    m = am.shape[0]
+    # as the per-pair function: a single row has no pair to reject
+    if m > 1 and am.min() < 0:
+        raise ValueError("matrix must be nonnegative")
+    peaks = am.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = am.min(axis=1)[:, None] / peaks[None, :]
+        table = np.where(alpha > 1.0, 1.0 / (alpha - 1.0), np.nan)
+    table[:, peaks == 0.0] = 0.0
+    table[np.diag_indices(m)] = np.nan
+    return [[None if math.isnan(v) else v for v in row]
+            for row in table.tolist()]
+
+
 @dataclass(frozen=True)
 class RowRatioReport:
     """Per-row and per-column optimality-ratio residuals, relative to the

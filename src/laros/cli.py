@@ -16,8 +16,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .analysis import (BlockSelector, row_zero_threshold, theta_A, theta_B,
-                       top_block)
+from .analysis import (BlockSelector, row_zero_thresholds, theta_A,
+                       theta_B, top_block)
 from .generate import (NOISE_FAMILIES, PlantedModel, plant_biclique,
                        plant_rank_one, two_block_matrix)
 from .linalg import theta_norm
@@ -140,7 +140,6 @@ def _parse_index_list(text):
 
 def _cmd_thresholds(args):
     a = parse_matrix(args.input, args.format)
-    m = a.shape[0]
     result = {"theta_A": theta_A(a)}
     if bool(args.rows) != bool(args.cols):
         raise ValueError("--rows and --cols must be given together")
@@ -152,16 +151,7 @@ def _cmd_thresholds(args):
         result["theta_B_applicable"] = tb is not None
         result["block_rows"] = _one_based(block.rows)
         result["block_cols"] = _one_based(block.cols)
-    table = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            if i == j:
-                row.append(None)
-            else:
-                row.append(row_zero_threshold(a, i, j))
-        table.append(row)
-    result["row_zero_thresholds"] = table
+    result["row_zero_thresholds"] = row_zero_thresholds(a)
     inputs = {"matrix": args.input}
     params = {"rows": args.rows, "cols": args.cols}
     return result, inputs, params

@@ -92,9 +92,7 @@ def svt(a, tau):
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    m = as_matrix(a)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    return (u * np.maximum(s - tau, 0.0)) @ vt
+    return _svt(as_matrix(a), tau)
 
 
 def soft_threshold(a, tau):
@@ -104,8 +102,101 @@ def soft_threshold(a, tau):
     """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    m = as_matrix(a)
+    return _soft_threshold(as_matrix(a), tau)
+
+
+# Unchecked kernels for callers that validated their input once: `m` is a
+# finite 2-D float array and tau >= 0.
+
+def _svt(m, tau):
+    """svt by a full LAPACK SVD."""
+    return _shrink(*np.linalg.svd(m, full_matrices=False), tau)
+
+
+def _shrink(u, s, vt, tau):
+    """u diag(max(s - tau, 0)) vt."""
+    return (u * np.maximum(s - tau, 0.0)) @ vt
+
+
+def _soft_threshold(m, tau):
     return np.sign(m) * np.maximum(np.abs(m) - tau, 0.0)
+
+
+# Below this min(m, n) a full SVD costs no more than the subspace iteration
+# of _WarmSvt, and _nuclear_prox keeps the full SVD. Measured on planted
+# biclique solves (one BLAS thread): at 60 x 60 the full SVD was 1.1x
+# faster, at 80 x 80 the subspace iteration was 1.6x faster.
+_PARTIAL_SVT_MIN_DIM = 80
+_RANK_STEP = 5         # block growth: the rank increment of Cai-Candes-Shen
+_SWEEPS = 12           # subspace sweeps per call before the LAPACK fallback
+_RESIDUAL_ULPS = 4     # kept triplets: ||m v - s u|| <= ULPS*k*eps*sigma_1
+
+
+def _nuclear_prox(shape):
+    """The nuclear prox for a sequence of nearby matrices of one shape:
+    `_svt` below the crossover dimension, else a fresh `_WarmSvt`."""
+    if min(shape) < _PARTIAL_SVT_MIN_DIM:
+        return _svt
+    return _WarmSvt(shape)
+
+
+class _WarmSvt:
+    """svt for a sequence of nearby matrices, by warm-started block
+    subspace iteration (Halko-Martinsson-Tropp 2011) that finds only the
+    singular triplets above tau.
+
+    Each call starts from the previous call's right Ritz vectors, in a block
+    of k = previous rank + _RANK_STEP columns. A sweep orthonormalizes
+    Q = orth(m V), takes the Ritz triplets from the SVD of the small k x n
+    matrix Q^T m, and measures each residual ||m v - s u|| (m^T u = s v
+    holds by construction). The call returns when every kept triplet
+    (s > tau) has a residual of a few ulps of sigma_1 per block column
+    (rounding in the k-column products sets a floor that grows with k) and
+    the next Ritz value plus its residual is at most tau. If every Ritz
+    value exceeds tau, the block grows by _RANK_STEP random columns
+    (Cai-Candes-Shen 2010). A call whose block reaches min(m, n)/4, or that
+    runs out of sweeps, uses the full SVD. Random columns come from a
+    generator seeded per instance, so a solve is reproducible.
+    """
+
+    def __init__(self, shape):
+        self.n = shape[1]
+        self.cap = min(shape) / 4
+        self.rng = np.random.default_rng(0)
+        self.basis = np.empty((self.n, 0))  # previous right Ritz vectors
+        self.rank = 0                       # previous output rank
+
+    def _columns(self, count):
+        return self.rng.standard_normal((self.n, count))
+
+    def __call__(self, m, tau):
+        k = self.rank + _RANK_STEP
+        v = self.basis[:, :k]
+        if v.shape[1] < k:
+            v = np.hstack([v, self._columns(k - v.shape[1])])
+        y = m @ v
+        eps = np.finfo(float).eps
+        for _ in range(_SWEEPS):
+            if k >= self.cap:
+                break
+            q = np.linalg.qr(y)[0]
+            ub, s, vt = np.linalg.svd(q.T @ m, full_matrices=False)
+            u = q @ ub
+            y = m @ vt.T
+            res = np.linalg.norm(y - u * s, axis=0)
+            r = int(np.count_nonzero(s > tau))
+            if r == k:
+                y = np.hstack([y, m @ self._columns(_RANK_STEP)])
+                k += _RANK_STEP
+                continue
+            if res[:r].max(initial=0.0) <= _RESIDUAL_ULPS * k * eps * s[0] \
+                    and s[r] + res[r] <= tau:
+                self.basis, self.rank = vt.T, r
+                return _shrink(u[:, :r], s[:r], vt[:r], tau)
+        u, s, vt = np.linalg.svd(m, full_matrices=False)
+        self.rank = int(np.count_nonzero(s > tau))
+        self.basis = vt[:self.rank + _RANK_STEP].T
+        return _shrink(u, s, vt, tau)
 
 
 def project_halfspace(x, a, level):

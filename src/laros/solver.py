@@ -8,13 +8,13 @@ that is checked at stopping time and exposed to callers.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (as_matrix, norm, project_halfspace, soft_threshold,
-                     svd, svt, theta_norm)
+from .linalg import (_nuclear_prox, _soft_threshold, as_matrix, norm,
+                     project_halfspace, svd, theta_norm)
 
 
 class ConvergenceError(RuntimeError):
@@ -181,7 +181,6 @@ class _Check(NamedTuple):
     y: np.ndarray
     z: np.ndarray
     sy: np.ndarray            # singular values of y
-    nuc: float                # ||x_rep / lam||_*
     dual: float               # max{||Y||, ||Z||_inf/theta}
     residual: float           # max(balance, alignment), relative
 
@@ -194,7 +193,7 @@ def _check(a, theta, rho, xbar, u2):
     its norm bound and alignment exactly; all convergence error lands in Y.
     """
     v2 = xbar - u2
-    x2 = soft_threshold(v2, theta / rho)
+    x2 = _soft_threshold(v2, theta / rho)
     g2 = rho * (v2 - x2)
     gain = float(np.vdot(a, x2))
     if gain <= 0.0 or not x2.any():
@@ -204,7 +203,8 @@ def _check(a, theta, rho, xbar, u2):
         gain = float(np.vdot(a, x2))
         g2 = np.clip(rho * (v2 - x2), -theta, theta)
     x_rep = x2 / gain
-    lam = theta_norm(x_rep, theta)
+    nuc_rep = norm(x_rep, "nuclear")
+    lam = nuc_rep + theta * norm(x_rep, "l1")  # ||x_rep||_theta
     z = g2 / lam
     y = a - z
 
@@ -215,21 +215,23 @@ def _check(a, theta, rho, xbar, u2):
     scale = max(ny, d_z, 1.0 / lam)
     xs = x_rep / lam
     balance = abs(ny - nz / theta) / scale if theta > 0 else nz / scale
-    nuc = norm(xs, "nuclear")
-    align = abs(float(np.vdot(xs, y)) - nuc * ny) / scale
-    return _Check(x_rep, lam, y, z, sy, nuc, max(ny, d_z),
+    align = abs(float(np.vdot(xs, y)) - nuc_rep / lam * ny) / scale
+    return _Check(x_rep, lam, y, z, sy, max(ny, d_z),
                   max(balance, align))
 
 
 def _dual_certificate(chk):
     """The DualCertificate of a check; alpha and beta are the nuclear and
-    l1 norms of the scaled solution, so alpha + theta*beta = 1."""
+    l1 norms of the scaled solution, so alpha + theta*beta = 1. alpha is
+    taken from the scaled solution itself (one SVD per solve), not as
+    ||x_rep||_* / lam, which rounds differently."""
     sy = chk.sy
     zabs = np.abs(chk.z)
     zmax = float(zabs.max())
     ties = int(np.sum(zabs >= zmax * (1.0 - 1e-8))) if zmax > 0 else 0
+    xs = chk.x_rep / chk.lam
     return DualCertificate(
-        y=chk.y, z=chk.z, alpha=chk.nuc, beta=norm(chk.x_rep / chk.lam, "l1"),
+        y=chk.y, z=chk.z, alpha=norm(xs, "nuclear"), beta=norm(xs, "l1"),
         dual_norm=chk.dual, lambda_star=1.0 / chk.dual,
         spectral_gap=float(sy[0] - sy[1]) if sy.size > 1 else float(sy[0]),
         linf_argmax_count=ties)
@@ -244,19 +246,28 @@ def solve(a, config):
     residual all fall below the configured tolerances. On non-convergence
     the final iterate is returned with converged=False. Either way the
     dual certificate is the one checked at the final iterate.
+
+    The problem is homogeneous in a: the splitting runs on a / 2^e, with e
+    chosen so that ||a / 2^e||_inf lies in [0.5, 1), where ||a||_F^2 and
+    the iterates neither overflow nor underflow for any scale of a. The
+    scaling is exact, so X, the objective and the certificate are mapped
+    back exactly on exit.
     """
     am = as_matrix(a)
     if not am.any():
         raise ValueError("input matrix must be nonzero")
     theta = config.theta
-    nf = float(np.linalg.norm(am))
+    e = int(np.frexp(np.abs(am).max())[1])
+    a = np.ldexp(am, -e)
+    nf = float(np.linalg.norm(a))
     nf2 = nf * nf
     rho = config.penalty * nf
+    nuclear_prox = _nuclear_prox(a.shape)
 
-    xbar = am / nf2
-    u1 = np.zeros_like(am)
-    u2 = np.zeros_like(am)
-    u3 = np.zeros_like(am)
+    xbar = a / nf2
+    u1 = np.zeros_like(a)
+    u2 = np.zeros_like(a)
+    u3 = np.zeros_like(a)
 
     history = []
     fp_residuals = []
@@ -265,16 +276,20 @@ def solve(a, config):
     # the loop always checks at k == max_iters and stops only right after
     # a passing check, so the last check is always of the final iterate
     for k in range(1, config.max_iters + 1):
-        x1 = svt(xbar - u1, 1.0 / rho)
-        x2 = soft_threshold(xbar - u2, theta / rho)
+        x1 = nuclear_prox(xbar - u1, 1.0 / rho)
+        x2 = _soft_threshold(xbar - u2, theta / rho)
         v3 = xbar - u3
-        g = float(np.vdot(am, v3))
-        x3 = v3 if g >= 1.0 else v3 + ((1.0 - g) / nf2) * am
+        g = float(np.vdot(a, v3))
+        x3 = v3 if g >= 1.0 else v3 + ((1.0 - g) / nf2) * a
         xnew = (x1 + x2 + x3) / 3.0
         r = math.sqrt((np.linalg.norm(x1 - xnew) ** 2
                        + np.linalg.norm(x2 - xnew) ** 2
                        + np.linalg.norm(x3 - xnew) ** 2) / 3.0)
         s = float(np.linalg.norm(xnew - xbar))
+        if not math.isfinite(s):
+            # the kernels do not validate; any non-finite prox output
+            # makes xnew, and so s, non-finite
+            raise ValueError(f"solver iterate is not finite at iteration {k}")
         u1 += x1 - xnew
         u2 += x2 - xnew
         u3 += x3 - xnew
@@ -287,21 +302,24 @@ def solve(a, config):
             # the splitting, guaranteed nonincreasing
             inputs = np.stack([xbar - u1, xbar - u2, xbar - u3])
             if prev_inputs is not None:
-                fp_residuals.append(float(np.linalg.norm(inputs - prev_inputs)))
+                fp_residuals.append(math.ldexp(
+                    float(np.linalg.norm(inputs - prev_inputs)), -e))
             prev_inputs = inputs
 
         if k % config.check_every and k != config.max_iters:
             continue
-        chk = _check(am, theta, rho, xbar, u2)
+        chk = _check(a, theta, rho, xbar, u2)
         if config.track_history:
-            merit = (theta_norm(xbar, theta)
-                     + rho * max(0.0, 1.0 - float(np.vdot(am, xbar))))
+            # in the units of am: X scales by 2^-e and rho by 2^e
+            merit = (math.ldexp(theta_norm(xbar, theta), -e)
+                     + math.ldexp(rho, e)
+                     * max(0.0, 1.0 - float(np.vdot(a, xbar))))
             history.append({
                 "iteration": k,
                 "merit": merit,
                 "primal_residual": r_rel,
                 "dual_residual": s_rel,
-                "weak_duality_slack": chk.dual - 1.0 / chk.lam,
+                "weak_duality_slack": math.ldexp(chk.dual - 1.0 / chk.lam, e),
             })
         if r_rel <= config.tol_primal and s_rel <= config.tol_dual \
                 and chk.residual <= config.tol_gap:
@@ -309,19 +327,26 @@ def solve(a, config):
             break
 
     cert = _dual_certificate(chk)
-    state = SolverState(a=am, theta=theta, iterations=k,
-                        converged=converged, primal_residual=r_rel,
-                        dual_residual=s_rel, cert_residual=chk.residual,
-                        certificate=cert, history=history,
-                        fp_residuals=fp_residuals)
     lam = chk.lam
     gap = max(0.0, cert.dual_norm - 1.0 / lam) * lam
     parts = extract_rank_one(chk.x_rep, support_tol=config.support_tol)
     unique_spectral = cert.spectral_gap > 1e-8 * max(float(chk.sy[0]), 1e-300)
     unique_linf = theta > 0 and cert.linf_argmax_count == 1
-    return Solution(x=chk.x_rep, sigma=parts.sigma, u=parts.u, v=parts.v,
+    # back to the scale of am, in place: the check's arrays are the result
+    cert = replace(cert, y=np.ldexp(cert.y, e, out=cert.y),
+                   z=np.ldexp(cert.z, e, out=cert.z),
+                   dual_norm=math.ldexp(cert.dual_norm, e),
+                   lambda_star=math.ldexp(cert.lambda_star, -e),
+                   spectral_gap=math.ldexp(cert.spectral_gap, e))
+    state = SolverState(a=am, theta=theta, iterations=k,
+                        converged=converged, primal_residual=r_rel,
+                        dual_residual=s_rel, cert_residual=chk.residual,
+                        certificate=cert, history=history,
+                        fp_residuals=fp_residuals)
+    return Solution(x=np.ldexp(chk.x_rep, -e, out=chk.x_rep),
+                    sigma=math.ldexp(parts.sigma, -e), u=parts.u, v=parts.v,
                     support_rows=parts.rows, support_cols=parts.cols,
-                    objective=lam, gap=gap, iterations=k,
+                    objective=math.ldexp(lam, -e), gap=gap, iterations=k,
                     converged=converged,
                     non_unique=not (unique_spectral or unique_linf),
                     state=state)

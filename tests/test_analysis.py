@@ -8,8 +8,9 @@ import pytest
 
 from laros.analysis import (BlockSelector, build_planted_certificate,
                             row_ratio_check, row_zero_threshold,
-                            subgaussian_tail_bound, theta_A, theta_B,
-                            top_block, validate_planted_regime)
+                            row_zero_thresholds, subgaussian_tail_bound,
+                            theta_A, theta_B, top_block,
+                            validate_planted_regime)
 from laros.generate import PlantedModel, plant_rank_one, two_block_matrix
 from laros.solver import SolverConfig, solve
 
@@ -98,6 +99,57 @@ class TestRowZeroThreshold:
     def test_same_index_rejected(self):
         with pytest.raises(ValueError):
             row_zero_threshold(np.ones((2, 2)), 1, 1)
+
+
+class TestRowZeroThresholds:
+    @staticmethod
+    def assert_matches_reference(a):
+        table = row_zero_thresholds(a)
+        m = a.shape[0]
+        assert len(table) == m and all(len(row) == m for row in table)
+        for i in range(m):
+            assert table[i][i] is None
+            for j in range(m):
+                if i != j:
+                    ref = row_zero_threshold(a, i, j)
+                    got = table[i][j]
+                    # bit-identical, and None exactly where the reference
+                    assert got == ref and type(got) is type(ref), (i, j)
+
+    def test_matches_reference_per_pair(self):
+        rng = np.random.default_rng(60)
+        a = rng.random((12, 7)) + 0.1
+        a[3] *= 40.0         # dominates rows: finite thresholds
+        a[5] = 0.0           # zero row: threshold 0.0 from every other row
+        a[7] = a[2]          # tie: identical rows
+        a[8] = a[3]          # tie with a dominating row
+        a[9] = [2.0] * 7     # alpha exactly 1 against row 10: None
+        a[10] = [1.0, 2.0, 1.5, 2.0, 1.0, 1.0, 1.0]
+        self.assert_matches_reference(a)
+        table = row_zero_thresholds(a)
+        assert all(table[i][5] == 0.0 for i in range(12) if i != 5)
+        assert table[9][10] is None and table[3][2] is not None
+        assert table[3][8] is None and table[7][2] is None
+
+    def test_random_nonnegative(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            m, n = (int(x) for x in rng.integers(1, 9, size=2))
+            a = np.floor(rng.random((m, n)) * 4.0)  # many ties and zeros
+            a *= rng.choice([1.0, 10.0], size=(m, 1))
+            self.assert_matches_reference(a)
+
+    def test_negative_input_rejected(self):
+        a = np.ones((3, 3))
+        a[2, 1] = -1e-3
+        with pytest.raises(ValueError, match="nonnegative"):
+            row_zero_thresholds(a)
+        with pytest.raises(ValueError, match="nonnegative"):
+            row_zero_threshold(a, 0, 1)
+
+    def test_single_row_has_no_pairs(self):
+        assert row_zero_thresholds(np.array([[1.0, 2.0]])) == [[None]]
+        assert row_zero_thresholds(np.array([[-1.0, 2.0]])) == [[None]]
 
 
 class TestRowRatioCheck:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from laros import linalg
 from laros.linalg import (linf_subgrad, norm, project_halfspace,
                           soft_threshold, spectral_subgrad, svd, svt,
                           theta_norm)
@@ -259,3 +260,134 @@ class TestSubgradients:
         assert norm(g, "spectral") == pytest.approx(1.0, abs=1e-10)
         gi, _, _ = linf_subgrad(a)
         assert abs(float(np.vdot(a, gi)) - norm(a, "linf")) <= 1e-10 * unit
+
+
+def spectrum_matrix(rng, m, n, sigmas, noise=1e-3):
+    """Matrix with leading singular values near `sigmas` plus small noise."""
+    k = len(sigmas)
+    u = np.linalg.qr(rng.standard_normal((m, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((n, k)))[0]
+    return (u * np.asarray(sigmas, dtype=float)) @ v.T \
+        + noise * rng.standard_normal((m, n)) / np.sqrt(max(m, n))
+
+
+def close_to_svt(out, a, tau, rtol=1e-12):
+    ref = svt(a, tau)
+    scale = max(np.linalg.norm(ref), np.linalg.norm(a))
+    assert np.linalg.norm(out - ref) <= rtol * scale
+
+
+@pytest.fixture
+def svd_shapes(monkeypatch):
+    """Shapes of the numpy.linalg.svd calls made during a test."""
+    shapes = []
+    lapack = np.linalg.svd
+
+    def recorded(m, *args, **kwargs):
+        shapes.append(np.shape(m))
+        return lapack(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    return shapes
+
+
+class TestWarmSvt:
+    """The subspace-iteration nuclear prox that `solve` uses at and above
+    the crossover dimension; each case must match the full-SVD `svt`
+    (whose own SVD calls are not counted: `svt` runs after the fixture's
+    shapes are read)."""
+
+    SHAPES = [(120, 120), (80, 400)]
+
+    def test_dispatch_by_shape(self):
+        low = linalg._PARTIAL_SVT_MIN_DIM - 1
+        assert linalg._nuclear_prox((low, 1000)) is linalg._svt
+        assert isinstance(linalg._nuclear_prox(
+            (linalg._PARTIAL_SVT_MIN_DIM, linalg._PARTIAL_SVT_MIN_DIM)),
+            linalg._WarmSvt)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_sequence_matches_svt(self, shape, svd_shapes):
+        rng = np.random.default_rng(30)
+        a = spectrum_matrix(rng, *shape, [5.0, 3.0, 2.0])
+        prox = linalg._WarmSvt(shape)
+        pairs = []
+        for step in range(6):
+            a = a + 1e-3 * spectrum_matrix(rng, *shape, [1.0], noise=0.0)
+            pairs.append((prox(a, 1.0), a))
+        assert prox.rank == 3
+        assert shape not in svd_shapes  # no call needed the full SVD
+        for out, a in pairs:
+            close_to_svt(out, a, 1.0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_stale_subspace_of_wrong_rank(self, shape, svd_shapes):
+        rng = np.random.default_rng(31)
+        prox = linalg._WarmSvt(shape)
+        first = spectrum_matrix(rng, *shape, [6.0, 5.0, 4.0, 3.0])
+        prox(first, 1.0)
+        assert prox.rank == 4
+        # unrelated matrix of rank 1 above tau: the stale basis spans the
+        # wrong subspace and is three columns too wide
+        second = spectrum_matrix(rng, *shape, [4.0, 0.5])
+        out = prox(second, 1.0)
+        assert shape not in svd_shapes
+        close_to_svt(out, second, 1.0)
+        assert prox.rank == 1
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_rank_growth_between_calls(self, shape, svd_shapes):
+        rng = np.random.default_rng(32)
+        prox = linalg._WarmSvt(shape)
+        low = spectrum_matrix(rng, *shape, [3.0])
+        out_low = prox(low, 1.0)
+        assert prox.rank == 1
+        # rank 12 exceeds the warm block (1 + _RANK_STEP): the block grows
+        # twice, and stays below min(m, n)/4
+        sigmas = np.linspace(8.0, 2.0, 12)
+        high = spectrum_matrix(rng, *shape, sigmas)
+        assert 1 + 2 * linalg._RANK_STEP < 12 < min(shape) / 4 \
+            - linalg._RANK_STEP
+        out_high = prox(high, 1.0)
+        assert shape not in svd_shapes
+        close_to_svt(out_low, low, 1.0)
+        close_to_svt(out_high, high, 1.0)
+        assert prox.rank == 12
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_tau_at_or_above_top_singular_value(self, shape):
+        rng = np.random.default_rng(33)
+        a = spectrum_matrix(rng, *shape, [2.0, 1.0])
+        top = norm(a, "spectral")
+        prox = linalg._WarmSvt(shape)
+        for tau in (2.0 * top, top * (1.0 + 1e-12)):
+            out = prox(a, tau)
+            assert out.shape == a.shape and not out.any()
+            assert prox.rank == 0
+        # at tau = sigma_1 a Ritz value may round an ulp above tau
+        close_to_svt(prox(a, top), a, top, rtol=1e-15)
+        assert not prox(np.zeros(shape), 0.5).any()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_fallback_at_quarter_dimension(self, shape, svd_shapes):
+        rng = np.random.default_rng(34)
+        prox = linalg._WarmSvt(shape)
+        rank = int(min(shape) / 4) + 2
+        a = spectrum_matrix(rng, *shape, np.linspace(9.0, 3.0, rank))
+        out = prox(a, 1.0)
+        # the block grew to min(m, n)/4 and the call took the full SVD,
+        # whose output is exactly svt's
+        assert svd_shapes[-1] == shape
+        assert np.array_equal(out, svt(a, 1.0))
+        assert prox.rank == rank
+        assert prox.basis.shape == (shape[1], rank + linalg._RANK_STEP)
+
+    def test_sweep_budget_falls_back(self, monkeypatch, svd_shapes):
+        rng = np.random.default_rng(35)
+        a = spectrum_matrix(rng, 120, 120, [3.0, 2.0])
+        monkeypatch.setattr(linalg, "_SWEEPS", 0)
+        prox = linalg._WarmSvt(a.shape)
+        out = prox(a, 1.0)
+        assert svd_shapes == [a.shape]
+        assert np.array_equal(out, svt(a, 1.0))
+        assert prox.rank == 2

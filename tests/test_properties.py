@@ -56,6 +56,33 @@ class TestSolverProperties:
             assert theta_norm(sol.x * dual, theta) == pytest.approx(
                 1.0, abs=1e-8)
 
+    def test_scale_invariance(self):
+        # the problem is homogeneous in A: any positive scale from 1e-250
+        # to 1e250 solves, with X and the objective scaled by 1/scale and
+        # the certificate by scale
+        rng = np.random.default_rng(80)
+        for case in range(CASES // 8):
+            a = rng.random((4, 5)) + 0.05
+            theta = float(rng.uniform(0.05, 1.5))
+            base = solve(a, fast(theta))
+            ref = base.state.certificate
+            for exponent in rng.uniform(-250.0, 250.0, size=8):
+                scale = 10.0 ** exponent
+                sol = solve(a * scale, fast(theta))
+                assert sol.converged and base.converged
+                assert list(sol.support_rows) == list(base.support_rows)
+                assert list(sol.support_cols) == list(base.support_cols)
+                assert sol.objective * scale == pytest.approx(
+                    base.objective, rel=1e-9)
+                np.testing.assert_allclose(sol.x * scale, base.x, rtol=0,
+                                           atol=1e-9 * np.abs(base.x).max())
+                cert = sol.state.certificate
+                assert cert.dual_norm / scale == pytest.approx(
+                    ref.dual_norm, rel=1e-9)
+                np.testing.assert_allclose(cert.y / scale, ref.y, rtol=0,
+                                           atol=1e-9 * np.abs(a).max())
+                assert 0.0 <= sol.gap <= 1e-6
+
     def test_theta_zero_matches_svd(self):
         rng = np.random.default_rng(72)
         for case in range(CASES):

@@ -4,7 +4,9 @@ optimality checker."""
 import numpy as np
 import pytest
 
-from laros.generate import two_block_matrix
+from laros import linalg
+from laros import solver as solver_module
+from laros.generate import PlantedModel, plant_rank_one, two_block_matrix
 from laros.linalg import norm, svd, theta_norm
 from laros.solver import (CertificateUnavailableError, DualCertificate,
                           SolverConfig, check_optimality, dual_theta_norm,
@@ -305,3 +307,75 @@ class TestSolverInvariants:
         a = np.random.default_rng(14).random((5, 5))
         sol = solve(a, tight(0.5))
         assert not sol.non_unique
+
+
+class TestNuclearProxPath:
+    def test_planted_240_matches_lapack_path(self, monkeypatch):
+        model = PlantedModel(m=240, n=240, M=80, N=80, c3=0.1,
+                             noise_family="uniform")
+        a = plant_rank_one(model, seed=3).a
+        config = SolverConfig(theta=1.0 / 80, tol_primal=1e-7, tol_dual=1e-7,
+                              tol_gap=1e-7)
+        assert min(a.shape) >= linalg._PARTIAL_SVT_MIN_DIM
+        partial = solve(a, config)
+        monkeypatch.setattr(linalg, "_PARTIAL_SVT_MIN_DIM", 10**9)
+        full = solve(a, config)
+        assert partial.converged and full.converged
+        assert partial.iterations == full.iterations
+        np.testing.assert_array_equal(partial.support_rows, full.support_rows)
+        np.testing.assert_array_equal(partial.support_cols, full.support_cols)
+        assert partial.gap == pytest.approx(full.gap, rel=1e-6)
+        assert partial.objective == pytest.approx(full.objective, rel=1e-10)
+        cert = recover_dual(a, config.theta, partial.state)
+        report = check_optimality(a, config.theta, partial.scaled(), cert)
+        assert report.max_residual <= 1e-6
+
+    def test_non_finite_iterate_fails(self, monkeypatch):
+        calls = []
+
+        def poisoned(m, tau):
+            calls.append(tau)
+            out = linalg._soft_threshold(m, tau)
+            if len(calls) == 30:
+                out[0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(solver_module, "_soft_threshold", poisoned)
+        # the certificate check at iteration 25 makes the 26th call, so
+        # the 30th poisons iteration 29; unstopped, the next full SVD
+        # would fail on the NaN with "SVD did not converge"
+        with pytest.raises(ValueError,
+                           match="solver iterate is not finite at "
+                                 "iteration 29"):
+            solve(two_block_matrix(), SolverConfig(theta=0.5))
+
+
+class TestInputScale:
+    @pytest.mark.parametrize("scale", [1e-200, 1e200, 1e-160, 1e160,
+                                       2.0 ** -900, 2.0 ** 900])
+    def test_extreme_scale_solves(self, scale):
+        a = two_block_matrix()
+        base = solve(a, SolverConfig(theta=0.5))
+        sol = solve(a * scale, SolverConfig(theta=0.5))
+        assert sol.converged and sol.iterations == base.iterations
+        assert sol.objective * scale == pytest.approx(base.objective,
+                                                      rel=1e-12)
+        np.testing.assert_array_equal(sol.support_rows, base.support_rows)
+
+    def test_power_of_two_scale_is_exact(self):
+        a = two_block_matrix()
+        config = SolverConfig(theta=0.5)
+        base = solve(a, config)
+        sol = solve(np.ldexp(a, -700), config)
+        assert sol.iterations == base.iterations and sol.gap == base.gap
+        assert np.array_equal(np.ldexp(sol.x, -700), base.x)
+        assert sol.objective == np.ldexp(base.objective, 700)
+        assert sol.sigma == np.ldexp(base.sigma, 700)
+        cert, ref = sol.state.certificate, base.state.certificate
+        assert np.array_equal(np.ldexp(cert.y, 700), ref.y)
+        assert np.array_equal(np.ldexp(cert.z, 700), ref.z)
+        assert cert.dual_norm == np.ldexp(ref.dual_norm, -700)
+        assert cert.lambda_star == np.ldexp(ref.lambda_star, 700)
+        assert cert.spectral_gap == np.ldexp(ref.spectral_gap, -700)
+        assert (cert.alpha, cert.beta, cert.linf_argmax_count) == (
+            ref.alpha, ref.beta, ref.linf_argmax_count)
