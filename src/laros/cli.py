@@ -21,10 +21,11 @@ from .analysis import (BlockSelector, row_zero_thresholds, theta_A,
 from .generate import (NOISE_FAMILIES, PlantedModel, plant_biclique,
                        plant_rank_one, two_block_matrix)
 from .linalg import theta_norm
-from .mmio import FORMATS, MatrixParseError, parse_matrix, write_matrix
+from .mmio import (FORMATS, MatrixParseError, parse_matrix, read_certificate,
+                   write_certificate, write_matrix)
 from .nmf import greedy_extract
-from .solver import (ConvergenceError, DualCertificate, SolverConfig,
-                     check_optimality, recover_dual, solve)
+from .solver import (CertificateUnavailableError, ConvergenceError,
+                     SolverConfig, check_optimality, recover_dual, solve)
 
 
 @dataclass(frozen=True)
@@ -107,24 +108,14 @@ def _cmd_solve(args):
         "converged": sol.converged,
         "non_unique": sol.non_unique,
     }
+    # a solve without a certificate fails before any file is written
+    cert = (recover_dual(a, args.theta, sol.state)
+            if args.certificate_output else None)
     if args.solution_output:
         write_matrix(args.solution_output, sol.x)
         result["solution_path"] = args.solution_output
-    if args.certificate_output:
-        cert = recover_dual(a, args.theta, sol.state)
-        cert_record = {
-            "y": [_vector(row) for row in cert.y],
-            "z": [_vector(row) for row in cert.z],
-            "alpha": cert.alpha,
-            "beta": cert.beta,
-            "dual_norm": cert.dual_norm,
-            "lambda_star": cert.lambda_star,
-            "spectral_gap": cert.spectral_gap,
-            "linf_argmax_count": cert.linf_argmax_count,
-        }
-        with open(args.certificate_output, "w", encoding="utf-8") as handle:
-            json.dump(cert_record, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    if cert is not None:
+        write_certificate(args.certificate_output, cert)
         result["certificate_path"] = args.certificate_output
     inputs = {"matrix": args.input}
     params = {"theta": args.theta, "tol_primal": config.tol_primal,
@@ -188,17 +179,10 @@ def _cmd_plant(args):
 def _cmd_certify(args):
     a = parse_matrix(args.input, args.format)
     x = parse_matrix(args.solution)
-    with open(args.certificate, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
-    cert = DualCertificate(
-        y=np.array(raw["y"], dtype=float),
-        z=np.array(raw["z"], dtype=float),
-        alpha=float(raw["alpha"]),
-        beta=float(raw["beta"]),
-        dual_norm=float(raw["dual_norm"]),
-        lambda_star=float(raw["lambda_star"]),
-        spectral_gap=float(raw.get("spectral_gap", 0.0)),
-        linf_argmax_count=int(raw.get("linf_argmax_count", 0)))
+    if x.shape != a.shape:
+        raise ValueError(f"{args.solution}: solution has shape {x.shape}, "
+                         f"expected {a.shape} (the shape of {args.input})")
+    cert = read_certificate(args.certificate, a.shape)
     scale = theta_norm(x, args.theta)
     report = check_optimality(a, args.theta, x / scale, cert)
     result = {
@@ -367,7 +351,8 @@ def main(argv=None):
     start = time.perf_counter()
     try:
         result, inputs, params = args.func(args)
-    except (ValueError, OSError, ConvergenceError, MatrixParseError) as exc:
+    except (ValueError, OSError, ConvergenceError, MatrixParseError,
+            CertificateUnavailableError) as exc:
         print(f"laros {args.command}: {exc}", file=sys.stderr)
         return 1
     manifest = RunManifest(command=args.command, inputs=inputs,

@@ -1,10 +1,14 @@
 """Matrix file I/O: MatrixMarket array and coordinate formats, and
 headerless CSV. Values are written with full double precision so an
-array-format round trip is byte-identical."""
+array-format round trip is byte-identical. Also the JSON file format of a
+dual certificate (`write_certificate`, `read_certificate`)."""
+
+import json
 
 import numpy as np
 
 from .linalg import as_matrix
+from .solver import DualCertificate
 
 FORMATS = ("matrixmarket-array", "matrixmarket-coordinate", "csv")
 
@@ -39,12 +43,25 @@ def _int(token, path, line):
         raise MatrixParseError(path, line, f"expected integer, got {token!r}") from None
 
 
-def _data_lines(lines, path):
-    for no, raw in lines:
-        text = raw.strip()
-        if not text or text.startswith("%"):
-            continue
-        yield no, text
+def _data_lines(lines, start=0):
+    """(line number, stripped text) of the non-blank, non-comment lines
+    from lines[start] on."""
+    for index in range(start, len(lines)):
+        text = lines[index].strip()
+        if text and not text.startswith("%"):
+            yield index + 1, text
+
+
+def _floats(tokens, count):
+    """float64 array of `tokens` converted by Python's `float`, or None if
+    there are not `count` of them or one is not a finite number."""
+    if len(tokens) != count:
+        return None
+    try:
+        values = np.fromiter(map(float, tokens), dtype=float, count=count)
+    except ValueError:
+        return None
+    return values if np.isfinite(values).all() else None
 
 
 def parse_matrix(path, fmt=None):
@@ -54,23 +71,26 @@ def parse_matrix(path, fmt=None):
     or None to detect from the file header. MatrixMarket array data is
     column-major per the format definition; coordinate files use 1-based
     indices and densify missing entries to zero.
+
+    Array and CSV values are converted as one token list; only a file that
+    fails a check is walked line by line, to name the offending line.
     """
     if fmt is not None and fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     with open(path, "r", encoding="utf-8") as handle:
-        lines = list(enumerate(handle.read().splitlines(), start=1))
+        lines = handle.read().splitlines()
     if not lines:
         raise MatrixParseError(path, 1, "empty file")
 
-    first = lines[0][1].strip()
+    first = lines[0].strip()
     if first.startswith("%%MatrixMarket"):
         header_fmt = _parse_mm_header(first, path)
         if fmt is not None and fmt != header_fmt:
             raise MatrixParseError(path, 1,
                                    f"header declares {header_fmt}, expected {fmt}")
         if header_fmt == "matrixmarket-array":
-            return _parse_mm_array(lines[1:], path)
-        return _parse_mm_coordinate(lines[1:], path)
+            return _parse_mm_array(lines, path)
+        return _parse_mm_coordinate(lines, path)
     if fmt in ("matrixmarket-array", "matrixmarket-coordinate"):
         raise MatrixParseError(path, 1, "missing MatrixMarket header")
     return _parse_csv(lines, path)
@@ -84,50 +104,53 @@ def _parse_mm_header(line, path):
     return f"matrixmarket-{tokens[2]}"
 
 
-def _parse_mm_array(lines, path):
-    data = _data_lines(lines, path)
+def _size_line(lines, path, fields):
+    """Line number and integer fields of the size line after the header."""
     try:
-        no, size_line = next(data)
+        no, size_line = next(_data_lines(lines, 1))
     except StopIteration:
-        raise MatrixParseError(path, len(lines) + 1, "missing size line") from None
+        raise MatrixParseError(path, len(lines), "missing size line") from None
     tokens = size_line.split()
-    if len(tokens) != 2:
-        raise MatrixParseError(path, no, f"size line must be 'rows cols', got {size_line!r}")
-    m = _int(tokens[0], path, no)
-    n = _int(tokens[1], path, no)
+    if len(tokens) != len(fields):
+        raise MatrixParseError(path, no, "size line must be "
+                               f"'{' '.join(fields)}', got {size_line!r}")
+    return no, [_int(t, path, no) for t in tokens]
+
+
+def _parse_mm_array(lines, path):
+    no, (m, n) = _size_line(lines, path, ("rows", "cols"))
     if m < 1 or n < 1:
         raise MatrixParseError(path, no, f"dimensions must be positive, got {m} {n}")
-    values = []
-    for no, text in data:
+    body = " ".join(lines[no:])
+    if "%" in body:  # comment lines inside the data
+        body = " ".join(text for _, text in _data_lines(lines, no))
+    values = _floats(body.split(), m * n)
+    if values is None:
+        _raise_array_error(lines, no, path, m * n)
+    return values.reshape((n, m)).T  # file order is column-major
+
+
+def _raise_array_error(lines, start, path, count):
+    """Raise the error of the first bad token, or of the entry count."""
+    found = 0
+    for no, text in _data_lines(lines, start):
         for token in text.split():
-            if len(values) == m * n:
+            if found == count:
                 raise MatrixParseError(path, no, "more entries than rows*cols")
-            values.append(_float(token, path, no))
-    if len(values) != m * n:
-        raise MatrixParseError(path, len(lines) + 1,
-                               f"expected {m * n} entries, found {len(values)}")
-    return np.array(values).reshape((n, m)).T  # file order is column-major
+            _float(token, path, no)
+            found += 1
+    raise MatrixParseError(path, len(lines),
+                           f"expected {count} entries, found {found}")
 
 
 def _parse_mm_coordinate(lines, path):
-    data = _data_lines(lines, path)
-    try:
-        no, size_line = next(data)
-    except StopIteration:
-        raise MatrixParseError(path, len(lines) + 1, "missing size line") from None
-    tokens = size_line.split()
-    if len(tokens) != 3:
-        raise MatrixParseError(path, no,
-                               f"size line must be 'rows cols nnz', got {size_line!r}")
-    m = _int(tokens[0], path, no)
-    n = _int(tokens[1], path, no)
-    nnz = _int(tokens[2], path, no)
+    no, (m, n, nnz) = _size_line(lines, path, ("rows", "cols", "nnz"))
     if m < 1 or n < 1 or nnz < 0:
-        raise MatrixParseError(path, no, f"bad size line {size_line!r}")
+        raise MatrixParseError(path, no, f"bad size line {lines[no - 1].strip()!r}")
     out = np.zeros((m, n))
     seen = set()
     count = 0
-    for no, text in data:
+    for no, text in _data_lines(lines, no):
         tokens = text.split()
         if len(tokens) != 3:
             raise MatrixParseError(path, no, f"entry must be 'i j value', got {text!r}")
@@ -141,25 +164,40 @@ def _parse_mm_coordinate(lines, path):
         out[i - 1, j - 1] = _float(tokens[2], path, no)
         count += 1
     if count != nnz:
-        raise MatrixParseError(path, len(lines) + 1,
+        raise MatrixParseError(path, len(lines),
                                f"expected {nnz} entries, found {count}")
     return out
 
 
 def _parse_csv(lines, path):
-    rows = []
+    tokens = []
     width = None
-    for no, text in _data_lines(lines, path):
-        tokens = [t.strip() for t in text.split(",")]
+    for _, text in _data_lines(lines):
+        fields = text.split(",")
         if width is None:
-            width = len(tokens)
-        elif len(tokens) != width:
-            raise MatrixParseError(path, no,
-                                   f"row has {len(tokens)} fields, expected {width}")
-        rows.append([_float(t, path, no) for t in tokens])
-    if not rows:
+            width = len(fields)
+        elif len(fields) != width:
+            _raise_csv_error(lines, path, width)
+        # str.strip, not float's own trimming: float rejects "\x1f"
+        tokens.extend(map(str.strip, fields))
+    if width is None:
         raise MatrixParseError(path, len(lines) + 1, "no data rows")
-    return np.array(rows)
+    values = _floats(tokens, len(tokens))
+    if values is None:
+        _raise_csv_error(lines, path, width)
+    return values.reshape((-1, width))
+
+
+def _raise_csv_error(lines, path, width):
+    """Raise the error of the first ragged row or bad field."""
+    for no, text in _data_lines(lines):
+        fields = [t.strip() for t in text.split(",")]
+        if len(fields) != width:
+            raise MatrixParseError(path, no,
+                                   f"row has {len(fields)} fields, expected {width}")
+        for field in fields:
+            _float(field, path, no)
+    raise AssertionError("unreachable: every CSV row and field is valid")
 
 
 def write_matrix(path, a, fmt="matrixmarket-array"):
@@ -168,15 +206,88 @@ def write_matrix(path, a, fmt="matrixmarket-array"):
     m, n = am.shape
     if fmt == "matrixmarket-array":
         chunks = [_MM_ARRAY_HEADER, f"{m} {n}"]
-        chunks.extend(repr(float(v)) for v in am.T.ravel())  # column-major
+        chunks.extend(map(repr, am.T.ravel().tolist()))  # column-major
     elif fmt == "matrixmarket-coordinate":
         ii, jj = np.nonzero(am)
         chunks = [_MM_COORD_HEADER, f"{m} {n} {ii.size}"]
-        chunks.extend(f"{i + 1} {j + 1} {repr(float(am[i, j]))}"
-                      for i, j in zip(ii, jj))
+        chunks.extend(f"{i + 1} {j + 1} {v!r}" for i, j, v in
+                      zip(ii.tolist(), jj.tolist(), am[ii, jj].tolist()))
     elif fmt == "csv":
-        chunks = [",".join(repr(float(v)) for v in row) for row in am]
+        chunks = [",".join(map(repr, row)) for row in am.tolist()]
     else:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("\n".join(chunks) + "\n")
+        handle.write("\n".join(chunks))
+        handle.write("\n")
+
+
+# in sort_keys order; "y" and "z" sort after them
+_CERT_SCALARS = ("alpha", "beta", "dual_norm", "lambda_star",
+                 "linf_argmax_count", "spectral_gap")
+_CERT_DEFAULTS = {"spectral_gap": 0.0, "linf_argmax_count": 0}
+
+
+def write_certificate(path, cert):
+    """Write a `DualCertificate` as JSON.
+
+    The bytes are those of ``json.dump(record, indent=2, sort_keys=True)``
+    plus a newline, with record the scalars and the nested row lists of
+    `y` and `z`; the matrices are written one row at a time.
+    """
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("{\n")
+        for key in _CERT_SCALARS:
+            handle.write(f'  "{key}": {json.dumps(getattr(cert, key))},\n')
+        for key, close in (("y", "  ],\n"), ("z", "  ]\n")):
+            rows = getattr(cert, key)
+            handle.write(f'  "{key}": [\n')
+            for i, row in enumerate(rows):
+                items = json.dumps(row.tolist(),
+                                   separators=(",\n      ", ": "))
+                handle.write(f"    [\n      {items[1:-1]}\n    ]")
+                handle.write(",\n" if i + 1 < len(rows) else "\n")
+            handle.write(close)
+        handle.write("}\n")
+
+
+def read_certificate(path, shape):
+    """Read a `write_certificate` file as a `DualCertificate`.
+
+    Raises ValueError naming the file and the field when the file is not a
+    JSON object, a field is missing or not numeric, or `y` or `z` is not a
+    matrix of `shape` (the shape of A). `spectral_gap` and
+    `linf_argmax_count` default to 0.
+    """
+    with open(path, "r", encoding="utf-8") as handle:
+        try:
+            raw = json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: certificate is not JSON: "
+                             f"{exc}") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: certificate must be a JSON object")
+
+    def field(key, convert, what="a number"):
+        if key not in raw and key not in _CERT_DEFAULTS:
+            raise ValueError(f"{path}: certificate field {key!r} is missing")
+        try:
+            return convert(raw.get(key, _CERT_DEFAULTS.get(key)))
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: certificate field {key!r} is not "
+                             f"{what}") from None
+
+    def matrix(key):
+        value = field(key, lambda v: np.array(v, dtype=float),
+                      "a numeric matrix")
+        if value.shape != tuple(shape):
+            raise ValueError(f"{path}: certificate field {key!r} has shape "
+                             f"{value.shape}, expected {tuple(shape)}")
+        return value
+
+    return DualCertificate(
+        y=matrix("y"), z=matrix("z"),
+        alpha=field("alpha", float), beta=field("beta", float),
+        dual_norm=field("dual_norm", float),
+        lambda_star=field("lambda_star", float),
+        spectral_gap=field("spectral_gap", float),
+        linf_argmax_count=field("linf_argmax_count", int))

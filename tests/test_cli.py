@@ -55,6 +55,20 @@ class TestSolveCommand:
         z = np.array(cert["z"])
         np.testing.assert_allclose(y + z, two_block_matrix(), atol=1e-9)
 
+    def test_certificate_of_unconverged_solve_fails(self, demo_matrix,
+                                                    tmp_path, capsys):
+        out, cout = tmp_path / "r.json", tmp_path / "cert.json"
+        xout = tmp_path / "x.mtx"
+        code = run(["solve", "--input", demo_matrix, "--theta", "0.5",
+                    "--max-iters", "3", "--output", str(out),
+                    "--solution-output", str(xout),
+                    "--certificate-output", str(cout)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "laros solve: certificate requires a converged solve "
+            "(stopped after 3 iterations)\n")
+        assert not out.exists() and not cout.exists() and not xout.exists()
+
     def test_theta_required(self, demo_matrix, capsys):
         with pytest.raises(SystemExit):
             run(["solve", "--input", demo_matrix])
@@ -171,6 +185,56 @@ class TestCertifyCommand:
                     str(xout), "--certificate", str(cout), "--theta", "0.5",
                     "--output", str(out)]) == 0
         assert not load(out)["result"]["passed"]
+
+
+class TestCertifyChecksFiles:
+    """certify exits 1, naming the file and field, on malformed inputs."""
+
+    @pytest.fixture()
+    def solved(self, demo_matrix, tmp_path):
+        xout, cout = tmp_path / "x.mtx", tmp_path / "cert.json"
+        assert run(["solve", "--input", demo_matrix, "--theta", "0.5",
+                    "--output", str(tmp_path / "s.json"),
+                    "--solution-output", str(xout),
+                    "--certificate-output", str(cout)]) == 0
+        return xout, cout
+
+    def _certify(self, demo_matrix, xout, cout, tmp_path):
+        out = tmp_path / "certify.json"
+        code = run(["certify", "--input", demo_matrix, "--solution",
+                    str(xout), "--certificate", str(cout), "--theta", "0.5",
+                    "--output", str(out)])
+        assert not out.exists()
+        return code
+
+    def test_missing_key(self, demo_matrix, solved, tmp_path, capsys):
+        xout, cout = solved
+        cert = load(cout)
+        del cert["alpha"]
+        cout.write_text(json.dumps(cert))
+        assert self._certify(demo_matrix, xout, cout, tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"laros certify: {cout}: certificate field 'alpha' is missing\n")
+
+    @pytest.mark.parametrize("key", ["y", "z"])
+    def test_certificate_shape(self, demo_matrix, solved, tmp_path, capsys,
+                               key):
+        xout, cout = solved
+        cert = load(cout)
+        cert[key] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
+        cout.write_text(json.dumps(cert))
+        assert self._certify(demo_matrix, xout, cout, tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"laros certify: {cout}: certificate field {key!r} has shape "
+            "(2, 3), expected (6, 6)\n")
+
+    def test_solution_shape(self, demo_matrix, solved, tmp_path, capsys):
+        xout, cout = solved
+        write_matrix(xout, np.ones((2, 3)))
+        assert self._certify(demo_matrix, xout, cout, tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"laros certify: {xout}: solution has shape (2, 3), expected "
+            f"(6, 6) (the shape of {demo_matrix})\n")
 
 
 class TestNmfCommand:

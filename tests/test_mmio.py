@@ -1,9 +1,13 @@
 """Tests for matrix file parsing and writing."""
 
+import json
+
 import numpy as np
 import pytest
 
-from laros.mmio import MatrixParseError, parse_matrix, write_matrix
+from laros.mmio import (MatrixParseError, parse_matrix, read_certificate,
+                        write_certificate, write_matrix)
+from laros.solver import DualCertificate
 
 
 class TestParseArray:
@@ -120,3 +124,202 @@ class TestRoundTrip:
         path = tmp_path / "m.csv"
         write_matrix(path, a, "csv")
         assert (parse_matrix(path) == a).all()
+
+
+def _array_file(path, tokens, m, n, newline="\n"):
+    path.write_text(newline.join(["%%MatrixMarket matrix array real general",
+                                  f"{m} {n}", *tokens]) + newline,
+                    newline="")
+
+
+class TestParseValues:
+    def test_entries_equal_python_float(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = (rng.standard_normal(600)
+                  * 10.0 ** rng.integers(-300, 300, 600))
+        forms = [repr, lambda v: f"{v:.3e}", lambda v: f"{v:+.17g}",
+                 lambda v: f"{v:E}", lambda v: f"  {v!r}\t"]
+        tokens = [forms[k % len(forms)](v)
+                  for k, v in enumerate(values.tolist())]
+        tokens[:6] = ["-0", "0.", ".5", "1_000", "5e-324", "-1e308"]
+        expected = np.array([float(t) for t in tokens])
+        _array_file(tmp_path / "a.mtx", tokens, 20, 30)
+        got = parse_matrix(tmp_path / "a.mtx")
+        assert got.shape == (20, 30)
+        # bit for bit, so -0.0 and subnormals count
+        assert (got.T.ravel().view(np.int64) == expected.view(np.int64)).all()
+        (tmp_path / "a.csv").write_text(
+            "\n".join(",".join(tokens[30 * i:30 * i + 30]) for i in range(20)))
+        got = parse_matrix(tmp_path / "a.csv")
+        assert (got.ravel().view(np.int64) == expected.view(np.int64)).all()
+
+    def test_comment_and_blank_lines_mid_body(self, tmp_path):
+        path = tmp_path / "a.mtx"
+        path.write_text("%%MatrixMarket matrix array real general\n"
+                        "% size next\n\n2 2\n1\n% mid-body comment\n2\n"
+                        "\n   % indented comment\n3 4\n")
+        np.testing.assert_array_equal(parse_matrix(path),
+                                      [[1.0, 3.0], [2.0, 4.0]])
+        path = tmp_path / "a.csv"
+        path.write_text("% header comment\n1,2\n\n% mid-body\n3, 4\n")
+        np.testing.assert_array_equal(parse_matrix(path), [[1.0, 2.0],
+                                                           [3.0, 4.0]])
+
+    def test_csv_fields_stripped(self, tmp_path):
+        # "\x1f" is whitespace to str.strip but not to float
+        path = tmp_path / "a.csv"
+        path.write_text("1\x1f,\xa02\t\n 3 ,4\x1f\x1f\n")
+        np.testing.assert_array_equal(parse_matrix(path), [[1.0, 2.0],
+                                                           [3.0, 4.0]])
+
+    def test_crlf_input(self, tmp_path):
+        a = np.random.default_rng(1).random((4, 3))
+        _array_file(tmp_path / "a.mtx", map(repr, a.T.ravel().tolist()), 4, 3,
+                    newline="\r\n")
+        assert (parse_matrix(tmp_path / "a.mtx") == a).all()
+        (tmp_path / "a.csv").write_bytes(b"".join(
+            ",".join(map(repr, row)).encode() + b"\r\n" for row in a.tolist()))
+        assert (parse_matrix(tmp_path / "a.csv") == a).all()
+
+
+class TestErrorLines:
+    """Errors deep inside large files name the line of the first fault."""
+
+    M, N = 200, 300
+
+    def _mtx(self, tmp_path, edit):
+        tokens = [repr(float(k)) for k in range(self.M * self.N)]
+        edit(tokens)
+        path = tmp_path / "big.mtx"
+        _array_file(path, tokens, self.M, self.N)
+        return path
+
+    def _csv(self, tmp_path, rows):
+        path = tmp_path / "big.csv"
+        path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        return path
+
+    def _raises(self, path, line, message):
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix(path)
+        assert (err.value.path, err.value.line) == (str(path), line)
+        assert err.value.message == message
+
+    @pytest.mark.parametrize("token, kind", [
+        ("foo", "non-numeric token"), ("1.5.2", "non-numeric token"),
+        ("inf", "non-finite value"), ("-inf", "non-finite value"),
+        ("nan", "non-finite value"), ("1e400", "non-finite value")])
+    def test_bad_token(self, tmp_path, token, kind):
+        def edit(tokens):
+            tokens[41234] = token
+            tokens[50000] = "bar"  # a later fault is not the one reported
+        self._raises(self._mtx(tmp_path, edit), 41234 + 3,
+                     f"{kind} {token!r}")
+        rows = [[repr(float(j)) for j in range(self.N)] for _ in range(self.M)]
+        rows[137][211] = f" {token} "
+        rows[150][3] = "bar"
+        self._raises(self._csv(tmp_path, rows), 138, f"{kind} {token!r}")
+
+    def test_too_many_entries(self, tmp_path):
+        path = self._mtx(tmp_path, lambda tokens: tokens.extend(["7", "x"]))
+        self._raises(path, self.M * self.N + 3, "more entries than rows*cols")
+
+    def test_too_few_entries(self, tmp_path):
+        path = self._mtx(tmp_path, lambda tokens: tokens.pop())
+        count = self.M * self.N
+        self._raises(path, count + 1,
+                     f"expected {count} entries, found {count - 1}")
+
+    def test_bad_token_before_ragged_row(self, tmp_path):
+        rows = [[repr(float(j)) for j in range(self.N)] for _ in range(self.M)]
+        rows[120][5] = "x"
+        rows[180].pop()
+        self._raises(self._csv(tmp_path, rows), 121, "non-numeric token 'x'")
+        rows[120][5] = "5"
+        self._raises(self._csv(tmp_path, rows), 181,
+                     f"row has {self.N - 1} fields, expected {self.N}")
+        rows[180].extend(["1", "2"])
+        self._raises(self._csv(tmp_path, rows), 181,
+                     f"row has {self.N + 1} fields, expected {self.N}")
+
+
+def _certificate(rng, shape, specials=()):
+    y = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+    z = rng.random(shape)
+    flat = y.reshape(-1)
+    flat[:len(specials)] = specials[:flat.size]
+    return DualCertificate(y=y, z=z, alpha=float(rng.random()),
+                           beta=float(rng.random()),
+                           dual_norm=float(rng.random()),
+                           lambda_star=float(rng.random()),
+                           spectral_gap=float(rng.random()),
+                           linf_argmax_count=int(rng.integers(0, 9)))
+
+
+def _record(cert):
+    return {"y": cert.y.tolist(), "z": cert.z.tolist(), "alpha": cert.alpha,
+            "beta": cert.beta, "dual_norm": cert.dual_norm,
+            "lambda_star": cert.lambda_star,
+            "spectral_gap": cert.spectral_gap,
+            "linf_argmax_count": cert.linf_argmax_count}
+
+
+class TestCertificateFile:
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (6, 1), (5, 8)])
+    def test_bytes_equal_json_dump(self, tmp_path, shape):
+        path = tmp_path / "cert.json"
+        for case in range(20):
+            rng = np.random.default_rng(case)
+            cert = _certificate(rng, shape, [-0.0, 5e-324, 1e308, -1e308])
+            write_certificate(path, cert)
+            expected = json.dumps(_record(cert), indent=2, sort_keys=True)
+            assert path.read_text() == expected + "\n"
+
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "cert.json"
+        cert = _certificate(np.random.default_rng(0), (3, 4),
+                            [-0.0, 5e-324, 1e308])
+        write_certificate(path, cert)
+        back = read_certificate(path, (3, 4))
+        assert (back.y.view(np.int64) == cert.y.view(np.int64)).all()
+        assert (back.z == cert.z).all()
+        assert _record(back) == _record(cert)
+
+    def test_optional_fields_default(self, tmp_path):
+        path = tmp_path / "cert.json"
+        record = _record(_certificate(np.random.default_rng(0), (2, 2)))
+        del record["spectral_gap"], record["linf_argmax_count"]
+        path.write_text(json.dumps(record))
+        back = read_certificate(path, (2, 2))
+        assert (back.spectral_gap, back.linf_argmax_count) == (0.0, 0)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.pop("alpha"), "certificate field 'alpha' is missing"),
+        (lambda r: r.pop("z"), "certificate field 'z' is missing"),
+        (lambda r: r.update(beta="x"),
+         "certificate field 'beta' is not a number"),
+        (lambda r: r.update(dual_norm=[1]),
+         "certificate field 'dual_norm' is not a number"),
+        (lambda r: r.update(y=[[1, 2], [3]]),
+         "certificate field 'y' is not a numeric matrix"),
+        (lambda r: r.update(z=[[1, "a"], [3, 4]]),
+         "certificate field 'z' is not a numeric matrix"),
+        (lambda r: r.update(y=[[1, 2, 3], [4, 5, 6]]),
+         "certificate field 'y' has shape (2, 3), expected (2, 2)"),
+        (lambda r: r.update(z=4.0),
+         "certificate field 'z' has shape (), expected (2, 2)")])
+    def test_malformed_field_named(self, tmp_path, edit, message):
+        path = tmp_path / "cert.json"
+        record = _record(_certificate(np.random.default_rng(0), (2, 2)))
+        edit(record)
+        path.write_text(json.dumps(record))
+        with pytest.raises(ValueError) as err:
+            read_certificate(path, (2, 2))
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "{\"y\": ", ""])
+    def test_not_a_json_object(self, tmp_path, text):
+        path = tmp_path / "cert.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=str(path)):
+            read_certificate(path, (2, 2))
