@@ -1,6 +1,8 @@
 """Tests for the splitting solver, dual norm, certificates, and the
 optimality checker."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,19 @@ class TestSolverConfig:
             SolverConfig(theta=0.5, tol_primal=0.0)
         with pytest.raises(ValueError):
             SolverConfig(theta=0.5, penalty=-2.0)
+
+    @pytest.mark.parametrize("loop", [
+        {"check_every": 0}, {"check_every": -25}, {"check_every": 2.5},
+        {"max_iters": 2.5}, {"max_iters": -3}, {"max_iters": True},
+        {"check_every": "25"}])
+    def test_loop_settings_must_be_positive_integers(self, loop):
+        with pytest.raises(ValueError, match="must be an integer >= 1"):
+            SolverConfig(theta=0.5, **loop)
+
+    def test_numpy_integers_accepted(self):
+        config = SolverConfig(theta=0.5, max_iters=np.int64(7),
+                              check_every=np.int32(3))
+        assert solve(two_block_matrix(), config).iterations == 7
 
 
 class TestSolve:
@@ -331,23 +346,96 @@ class TestNuclearProxPath:
         assert report.max_residual <= 1e-6
 
     def test_non_finite_iterate_fails(self, monkeypatch):
-        calls = []
+        make_prox = solver_module._nuclear_prox
 
-        def poisoned(m, tau):
-            calls.append(tau)
-            out = linalg._soft_threshold(m, tau)
-            if len(calls) == 30:
-                out[0, 0] = np.nan
-            return out
+        def poisoned(shape):
+            prox = make_prox(shape)
+            calls = []
 
-        monkeypatch.setattr(solver_module, "_soft_threshold", poisoned)
-        # the certificate check at iteration 25 makes the 26th call, so
-        # the 30th poisons iteration 29; unstopped, the next full SVD
-        # would fail on the NaN with "SVD did not converge"
+            def call(m, tau):
+                out = prox(m, tau)
+                calls.append(tau)
+                if len(calls) == 29:
+                    out[0, 0] = np.nan
+                return out
+            return call
+
+        monkeypatch.setattr(solver_module, "_nuclear_prox", poisoned)
+        # one nuclear prox per iteration, so the 29th call poisons
+        # iteration 29; unstopped, the next full SVD would fail on the NaN
+        # with "SVD did not converge"
         with pytest.raises(ValueError,
                            match="solver iterate is not finite at "
                                  "iteration 29"):
             solve(two_block_matrix(), SolverConfig(theta=0.5))
+
+
+def assert_same_solve(got, want):
+    """Bit-for-bit equality of two solves' results and certificates."""
+    np.testing.assert_array_equal(got.x, want.x)
+    assert got.gap == want.gap and got.objective == want.objective
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    assert got.state.cert_residual == want.state.cert_residual
+    np.testing.assert_array_equal(got.state.certificate.y,
+                                  want.state.certificate.y)
+    np.testing.assert_array_equal(got.state.certificate.z,
+                                  want.state.certificate.z)
+
+
+def planted_120x157():
+    model = PlantedModel(m=120, n=157, M=40, N=50, c3=0.1,
+                         noise_family="uniform")
+    return plant_rank_one(model, seed=5).a, SolverConfig(
+        theta=1.0 / 50, tol_primal=1e-7, tol_dual=1e-7, tol_gap=1e-7)
+
+
+class TestMemoryLayout:
+    @pytest.mark.parametrize("case", ["two_block", "planted_120x157"])
+    def test_fortran_order_gives_same_bits(self, case):
+        if case == "two_block":
+            a, config = two_block_matrix(), SolverConfig(theta=0.5)
+        else:
+            a, config = planted_120x157()
+            assert min(a.shape) >= linalg._PARTIAL_SVT_MIN_DIM
+        c_order = solve(np.ascontiguousarray(a), config)
+        f_order = solve(np.asfortranarray(a), config)
+        assert c_order.converged
+        assert_same_solve(f_order, c_order)
+
+
+def c04_instances():
+    """The first three matrices of the c04 nonnegativity corpus."""
+    rng = np.random.default_rng(40)
+    return [rng.random((15, 15)) for _ in range(3)]
+
+
+class TestGatedChecks:
+    """A certificate check runs only where it can stop the solve, or for
+    the history; skipping the others changes no result."""
+
+    @pytest.mark.parametrize("case", range(4))
+    def test_same_result_as_checking_every_interval(self, case):
+        if case == 0:
+            model = PlantedModel(m=120, n=120, M=40, N=40, c3=0.1,
+                                 noise_family="uniform")
+            a = plant_rank_one(model, seed=1).a
+            config = SolverConfig(theta=1.0 / 40, tol_primal=1e-7,
+                                  tol_dual=1e-7, tol_gap=1e-7)
+        else:
+            a = c04_instances()[case - 1]
+            # 1013 is not a multiple of check_every: the capped solve's
+            # last check is its forced one at max_iters
+            config = SolverConfig(theta=1.5, max_iters=(15000, 15000,
+                                                        1013)[case - 1])
+        gated = solve(a, config)
+        tracked = solve(a, replace(config, track_history=True))
+        assert_same_solve(gated, tracked)
+        history = tracked.state.history
+        assert history[-1]["iteration"] == tracked.iterations
+        if not gated.converged:
+            assert gated.iterations == config.max_iters == 1013
+            assert np.isfinite(gated.state.cert_residual)
 
 
 class TestInputScale:
