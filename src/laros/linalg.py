@@ -118,12 +118,12 @@ def _shrink(u, s, vt, tau):
     return (u * np.maximum(s - tau, 0.0)) @ vt
 
 
-def _soft_threshold(m, tau, out=None):
-    """sgn(m) * max(|m| - tau, 0), into `out` if given, in which case `m`
-    serves as scratch and is overwritten. The ufuncs are the same either
+def _soft_threshold(m, tau, out=None, scratch=None):
+    """sgn(m) * max(|m| - tau, 0), into `out` if given, with |m| formed in
+    `scratch` if given; `m` is left intact. The ufuncs are the same either
     way, so are the entries, signed zeros included."""
     sgn = np.sign(m, out=out)
-    mag = np.abs(m, out=None if out is None else m)
+    mag = np.abs(m, out=scratch)
     np.subtract(mag, tau, out=mag)
     np.maximum(mag, 0.0, out=mag)
     return np.multiply(sgn, mag, out=sgn)

@@ -15,11 +15,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (_nuclear_prox, _soft_threshold, as_matrix, norm,
-                     project_halfspace, svd, theta_norm)
+                     project_halfspace, theta_norm)
 
 
-# Entries per row block of the solver's fused consensus pass. About ten
-# block-sized arrays are live in one block, 1.3 MB at 2^14 doubles: within
+# Entries per row block of the solver's fused consensus pass. Eleven
+# block-sized arrays are live in one block, 1.4 MB at 2^14 doubles: within
 # a 2 MB per-core L2 cache.
 _BLOCK_ENTRIES = 2 ** 14
 
@@ -49,10 +49,13 @@ class SolverConfig:
     track_history: bool = False
 
     def __post_init__(self):
-        if self.theta < 0:
-            raise ValueError(f"theta must be nonnegative, got {self.theta}")
-        if self.penalty <= 0:
-            raise ValueError(f"penalty must be positive, got {self.penalty}")
+        # written so that NaN fails too
+        if not 0.0 <= self.theta < math.inf:
+            raise ValueError(
+                f"theta must be finite and nonnegative, got {self.theta}")
+        if not 0.0 < self.penalty < math.inf:
+            raise ValueError(
+                f"penalty must be finite and positive, got {self.penalty}")
         for name in ("max_iters", "check_every"):
             v = getattr(self, name)
             if not isinstance(v, numbers.Integral) or isinstance(v, bool) \
@@ -99,6 +102,8 @@ class SolverState:
     cert_residual: float
     certificate: DualCertificate
     history: list = field(default_factory=list)
+    # ||T(v) - v|| of each iteration, v the stacked prox inputs (with
+    # track_history)
     fp_residuals: list = field(default_factory=list)
 
 
@@ -172,25 +177,34 @@ def extract_rank_one(x, support_tol=1e-6, rank_tol=1e-6):
     support_tol * ||x||_inf. A zero matrix yields sigma 0 and empty sets.
     """
     xm = as_matrix(x)
-    xmax = np.abs(xm).max()
-    if xmax == 0.0:
+    if not xm.any():
         return RankOneParts(0.0, np.zeros(xm.shape[0]), np.zeros(xm.shape[1]),
                             np.array([], dtype=int), np.array([], dtype=int),
                             False)
-    f = svd(xm)
-    s = f.singular_values
-    cutoff = support_tol * xmax
-    rows = np.flatnonzero(np.abs(xm).max(axis=1) > cutoff)
-    cols = np.flatnonzero(np.abs(xm).max(axis=0) > cutoff)
+    return _rank_one_parts(xm, np.linalg.svd(xm, full_matrices=False),
+                           support_tol, rank_tol)
+
+
+def _rank_one_parts(xm, factors, support_tol, rank_tol=1e-6):
+    """RankOneParts of a nonzero `xm` from its thin SVD (u, s, vt), with
+    the sign convention of `svd` applied to the leading pair."""
+    u, s, vt = factors
+    u0, v0 = u[:, 0], vt[0]
+    if u0[int(np.argmax(np.abs(u0)))] < 0:
+        u0, v0 = -u0, -v0
+    mag = np.abs(xm)
+    cutoff = support_tol * mag.max()
+    rows = np.flatnonzero(mag.max(axis=1) > cutoff)
+    cols = np.flatnonzero(mag.max(axis=0) > cutoff)
     rank_one = bool(s[0] > 0 and (s.size == 1 or s[1] <= rank_tol * s[0]))
-    return RankOneParts(float(s[0]), f.left_vectors[:, 0], f.right_vectors[:, 0],
-                        rows, cols, rank_one)
+    return RankOneParts(float(s[0]), u0, v0, rows, cols, rank_one)
 
 
 class _Check(NamedTuple):
     """Certificate pieces at one iterate, from one certificate check."""
 
     x_rep: np.ndarray         # candidate normalized to <A, x_rep> = 1
+    fx: tuple                 # thin SVD (u, s, vt) of x_rep
     lam: float                # ||x_rep||_theta
     y: np.ndarray
     z: np.ndarray
@@ -199,14 +213,15 @@ class _Check(NamedTuple):
     residual: float           # max(balance, alignment), relative
 
 
-def _check(a, theta, rho, xbar, u2):
+def _check(a, theta, rho, xbar, v2):
     """Certificate A = Y + Z at the current iterate and its residual.
 
     The l1-side multiplier G2 = rho*(v2 - prox(v2)) is an exact subgradient
     of theta*||.||_1 at the thresholded copy, so Z = G2/objective satisfies
     its norm bound and alignment exactly; all convergence error lands in Y.
+    The SVD of the candidate, with vectors, also serves the certificate's
+    alpha and the solution's rank-one parts.
     """
-    v2 = xbar - u2
     x2 = _soft_threshold(v2, theta / rho)
     g2 = rho * (v2 - x2)
     gain = float(np.vdot(a, x2))
@@ -217,7 +232,8 @@ def _check(a, theta, rho, xbar, u2):
         gain = float(np.vdot(a, x2))
         g2 = np.clip(rho * (v2 - x2), -theta, theta)
     x_rep = x2 / gain
-    nuc_rep = norm(x_rep, "nuclear")
+    fx = np.linalg.svd(x_rep, full_matrices=False)
+    nuc_rep = float(np.sum(fx[1]))
     lam = nuc_rep + theta * norm(x_rep, "l1")  # ||x_rep||_theta
     z = g2 / lam
     y = a - z
@@ -230,22 +246,21 @@ def _check(a, theta, rho, xbar, u2):
     xs = x_rep / lam
     balance = abs(ny - nz / theta) / scale if theta > 0 else nz / scale
     align = abs(float(np.vdot(xs, y)) - nuc_rep / lam * ny) / scale
-    return _Check(x_rep, lam, y, z, sy, max(ny, d_z),
+    return _Check(x_rep, fx, lam, y, z, sy, max(ny, d_z),
                   max(balance, align))
 
 
 def _dual_certificate(chk):
     """The DualCertificate of a check; alpha and beta are the nuclear and
-    l1 norms of the scaled solution, so alpha + theta*beta = 1. alpha is
-    taken from the scaled solution itself (one SVD per solve), not as
-    ||x_rep||_* / lam, which rounds differently."""
+    l1 norms of the scaled solution x_rep / lam, so alpha + theta*beta = 1
+    up to rounding."""
     sy = chk.sy
     zabs = np.abs(chk.z)
     zmax = float(zabs.max())
     ties = int(np.sum(zabs >= zmax * (1.0 - 1e-8))) if zmax > 0 else 0
-    xs = chk.x_rep / chk.lam
     return DualCertificate(
-        y=chk.y, z=chk.z, alpha=norm(xs, "nuclear"), beta=norm(xs, "l1"),
+        y=chk.y, z=chk.z, alpha=float(np.sum(chk.fx[1])) / chk.lam,
+        beta=norm(chk.x_rep / chk.lam, "l1"),
         dual_norm=chk.dual, lambda_star=1.0 / chk.dual,
         spectral_gap=float(sy[0] - sy[1]) if sy.size > 1 else float(sy[0]),
         linf_argmax_count=ties)
@@ -255,11 +270,12 @@ def solve(a, config):
     """Minimize ||X||_* + theta*||X||_1 subject to <a, X> >= 1.
 
     Three-copy consensus splitting: nuclear prox (singular value
-    thresholding), l1 prox (soft thresholding), and halfspace projection.
-    Stops when copy disagreement, consensus drift, and the certificate
-    residual all fall below the configured tolerances. On non-convergence
-    the final iterate is returned with converged=False. Either way the
-    dual certificate is the one checked at the final iterate.
+    thresholding), l1 prox (soft thresholding), and halfspace projection,
+    iterated on the three prox inputs. Stops when copy disagreement,
+    consensus drift, and the certificate residual all fall below the
+    configured tolerances. On non-convergence the final iterate is
+    returned with converged=False. Either way the dual certificate is the
+    one checked at the final iterate.
 
     The problem is homogeneous in a: the splitting runs on a / 2^e, with e
     chosen so that ||a / 2^e||_inf lies in [0.5, 1), where ||a||_F^2 and
@@ -275,75 +291,72 @@ def solve(a, config):
     # every work array is C-ordered whatever the layout of the input, so
     # the results are too
     a = np.ascontiguousarray(np.ldexp(am, -e))
+    m, n = a.shape
     nf = float(np.linalg.norm(a))
     nf2 = nf * nf
     rho = config.penalty * nf
     tau_l1 = theta / rho
     nuclear_prox = _nuclear_prox(a.shape)
-    rows = min(a.shape[0], max(1, _BLOCK_ENTRIES // a.shape[1]))
-    blocks = [slice(i, i + rows) for i in range(0, a.shape[0], rows)]
 
+    # The state is the three prox inputs v_i = xbar - u_i. The multipliers
+    # u_i start at zero and each update adds x_i - mean(x), so they sum to
+    # zero and need not be kept.
     xbar = a / nf2
     xnew = np.empty_like(a)
-    v1 = np.empty_like(a)               # nuclear prox input
-    x3 = np.empty_like(a)               # halfspace copy
-    u1 = np.zeros_like(a)
-    u2 = np.zeros_like(a)
-    u3 = np.zeros_like(a)
-    d_buf = np.empty_like(a[:rows])     # block scratch
-    x2_buf = np.empty_like(d_buf)       # l1 copy of a block
+    v = np.stack([xbar] * 3)
+    g = float(np.vdot(a, xbar))        # <a, v3>
+    rows = min(m, max(1, _BLOCK_ENTRIES // n))
+    w_buf = np.empty((3 * rows, n))
+    d_buf = np.empty((rows, n))
+    blocks = []                        # (rows, 3-copy scratch, scratch)
+    for i in range(0, m, rows):
+        h = min(rows, m - i)
+        blocks.append((slice(i, i + h), w_buf[:3 * h].reshape(3, h, n),
+                       d_buf[:h]))
 
     history = []
     fp_residuals = []
-    prev_inputs = None
     converged = False
     # the loop always checks at k == max_iters and stops only right after
     # a passing check, so the last check is always of the final iterate
     for k in range(1, config.max_iters + 1):
-        x1 = nuclear_prox(np.subtract(xbar, u1, out=v1), 1.0 / rho)
-        g = float(np.vdot(a, np.subtract(xbar, u3, out=x3)))
-        lift = (1.0 - g) / nf2
+        x1 = nuclear_prox(v[0], 1.0 / rho)
+        lift = max(0.0, 1.0 - g) / nf2
         # One pass over row blocks that stay in cache: the l1 and
-        # halfspace copies, their average, the multiplier updates and the
-        # squared norms behind the stopping test. Each entry is the same
-        # ufunc sequence as on whole arrays, so the same bits; only the
-        # norms are sums of per-block parts.
-        rr = ss = nn = 0.0
-        for b in blocks:
-            xb, x1b, x3b, xn = xbar[b], x1[b], x3[b], xnew[b]
-            d = d_buf[:xn.shape[0]]
-            x2b = _soft_threshold(np.subtract(xb, u2[b], out=d), tau_l1,
-                                  out=x2_buf[:xn.shape[0]])
-            if g < 1.0:
-                np.add(x3b, np.multiply(lift, a[b], out=d), out=x3b)
-            np.add(x1b, x2b, out=xn)
-            np.add(xn, x3b, out=xn)
+        # halfspace copies x2, x3, the average xbar+ of the three copies,
+        # the next prox inputs v_i + (xbar+ - xbar) - (x_i - xbar+), and
+        # the sums behind the stopping test and the next halfspace step.
+        rr = ss = nn = g = 0.0
+        for b, w, d in blocks:
+            vb, xn = v[:, b], xnew[b]
+            _soft_threshold(vb[1], tau_l1, out=w[1], scratch=d)
+            np.add(vb[2], np.multiply(lift, a[b], out=w[2]), out=w[2])
+            np.add(x1[b], w[1], out=xn)
+            np.add(xn, w[2], out=xn)
             np.divide(xn, 3.0, out=xn)
-            for xi, ui in ((x1b, u1[b]), (x2b, u2[b]), (x3b, u3[b])):
-                np.subtract(xi, xn, out=d)
-                rr += float(np.vdot(d, d))
-                np.add(ui, d, out=ui)
-            np.subtract(xn, xb, out=d)
+            np.subtract(x1[b], xn, out=w[0])
+            np.subtract(w[1:], xn, out=w[1:])    # w_i = x_i - xbar+
+            rr += float(np.vdot(w, w))
+            np.subtract(xn, xbar[b], out=d)
             ss += float(np.vdot(d, d))
             nn += float(np.vdot(xn, xn))
+            np.add(vb, np.subtract(d, w, out=w), out=vb)
+            g += float(np.vdot(a[b], vb[2]))
         xbar, xnew = xnew, xbar
         r = math.sqrt(rr / 3.0)
         s = math.sqrt(ss)
         if not math.isfinite(s):
             # the kernels do not validate; any non-finite prox output
-            # makes xnew, and so s, non-finite
+            # makes xbar+, and so s, non-finite
             raise ValueError(f"solver iterate is not finite at iteration {k}")
         scale = max(math.sqrt(nn), 1e-300)
         r_rel = r / scale
         s_rel = s / scale
         if config.track_history:
-            # drift of the stacked prox inputs: the governing sequence of
-            # the splitting, guaranteed nonincreasing
-            inputs = np.stack([xbar - u1, xbar - u2, xbar - u3])
-            if prev_inputs is not None:
-                fp_residuals.append(math.ldexp(
-                    float(np.linalg.norm(inputs - prev_inputs)), -e))
-            prev_inputs = inputs
+            # ||T(v) - v||, the drift of the prox inputs: the governing
+            # sequence of the splitting, guaranteed nonincreasing. Its
+            # square is rr + 3 ss, as the x_i - xbar+ sum to zero.
+            fp_residuals.append(math.ldexp(math.sqrt(rr + 3.0 * ss), -e))
 
         # convergence needs all three tests, so a check whose residuals
         # fail cannot stop the solve: it runs only for the history
@@ -351,7 +364,7 @@ def solve(a, config):
         if k != config.max_iters and (k % config.check_every or not (
                 can_stop or config.track_history)):
             continue
-        chk = _check(a, theta, rho, xbar, u2)
+        chk = _check(a, theta, rho, xbar, v[1])
         if config.track_history:
             # in the units of am: X scales by 2^-e and rho by 2^e
             merit = (math.ldexp(theta_norm(xbar, theta), -e)
@@ -371,7 +384,7 @@ def solve(a, config):
     cert = _dual_certificate(chk)
     lam = chk.lam
     gap = max(0.0, cert.dual_norm - 1.0 / lam) * lam
-    parts = extract_rank_one(chk.x_rep, support_tol=config.support_tol)
+    parts = _rank_one_parts(chk.x_rep, chk.fx, config.support_tol)
     unique_spectral = cert.spectral_gap > 1e-8 * max(float(chk.sy[0]), 1e-300)
     unique_linf = theta > 0 and cert.linf_argmax_count == 1
     # back to the scale of am, in place: the check's arrays are the result

@@ -167,3 +167,30 @@ def dual_norm_oracle(a, theta, target=5e-4, max_stages=40):
             center = np.array([ax[d][at[d]] for d in range(4)])
         half *= 0.5
     return best, err
+
+
+def splitting_residuals(a, theta, penalty, iterations):
+    """The three-copy consensus splitting of `solve` in multiplier form, on
+    whole arrays with a full SVD: per iteration, the relative primal and
+    dual residuals and the drift of the stacked prox inputs xbar - u_i."""
+    a = np.asarray(a, dtype=float)
+    nf2 = float(np.vdot(a, a))
+    rho = penalty * np.sqrt(nf2)
+    xbar = a / nf2
+    u = np.zeros((3,) + a.shape)
+    out = []
+    for _ in range(iterations):
+        v = xbar - u
+        left, s, vt = np.linalg.svd(v[0], full_matrices=False)
+        x1 = (left * np.maximum(s - 1.0 / rho, 0.0)) @ vt
+        x2 = np.sign(v[1]) * np.maximum(np.abs(v[1]) - theta / rho, 0.0)
+        x3 = v[2] + max(0.0, 1.0 - float(np.vdot(a, v[2]))) / nf2 * a
+        x = np.stack([x1, x2, x3])
+        xnew = x.mean(axis=0)
+        u += x - xnew
+        scale = np.linalg.norm(xnew)
+        out.append((np.linalg.norm(x - xnew) / np.sqrt(3.0) / scale,
+                    np.linalg.norm(xnew - xbar) / scale,
+                    np.linalg.norm((xnew - u) - v)))
+        xbar = xnew
+    return out

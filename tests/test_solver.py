@@ -1,6 +1,7 @@
 """Tests for the splitting solver, dual norm, certificates, and the
 optimality checker."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -14,7 +15,7 @@ from laros.solver import (CertificateUnavailableError, DualCertificate,
                           SolverConfig, check_optimality, dual_theta_norm,
                           extract_rank_one, recover_dual, solve)
 
-from oracles import dual_norm_oracle
+from oracles import dual_norm_oracle, splitting_residuals
 
 
 def tight(theta, **kw):
@@ -40,6 +41,13 @@ class TestSolverConfig:
     def test_loop_settings_must_be_positive_integers(self, loop):
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             SolverConfig(theta=0.5, **loop)
+
+    @pytest.mark.parametrize("setting", [
+        {"theta": math.nan}, {"theta": math.inf},
+        {"penalty": math.nan}, {"penalty": math.inf}])
+    def test_non_finite_theta_and_penalty_rejected(self, setting):
+        with pytest.raises(ValueError, match="must be finite"):
+            SolverConfig(**{"theta": 0.5, **setting})
 
     def test_numpy_integers_accepted(self):
         config = SolverConfig(theta=0.5, max_iters=np.int64(7),
@@ -467,3 +475,72 @@ class TestInputScale:
         assert cert.spectral_gap == np.ldexp(ref.spectral_gap, -700)
         assert (cert.alpha, cert.beta, cert.linf_argmax_count) == (
             ref.alpha, ref.beta, ref.linf_argmax_count)
+
+
+class TestSplittingReference:
+    """The prox inputs as the state run the multiplier-form splitting: the
+    residuals match a whole-array reference to rounding. Sixty iterations
+    keep them far above the level where rounding differences dominate."""
+
+    @pytest.mark.parametrize("case", ["two_block", "random_5x7",
+                                      "signed_8x3", "planted_90x100"])
+    def test_matches_multiplier_form(self, case):
+        rng = np.random.default_rng(21)
+        penalty = 1.0
+        if case == "two_block":
+            a, theta = two_block_matrix(), 0.5
+        elif case == "random_5x7":
+            a, theta = rng.random((5, 7)), 0.4
+        elif case == "signed_8x3":
+            a, theta, penalty = rng.random((8, 3)) - 0.3, 0.9, 2.0
+        else:
+            model = PlantedModel(m=90, n=100, M=30, N=30, c3=0.1,
+                                 noise_family="uniform")
+            a, theta = plant_rank_one(model, seed=2).a, 1.0 / 30
+            assert min(a.shape) >= linalg._PARTIAL_SVT_MIN_DIM
+        config = SolverConfig(theta=theta, penalty=penalty, max_iters=60,
+                              check_every=5, track_history=True)
+        sol = solve(a, config)
+        assert sol.iterations == 60
+        ref = splitting_residuals(a, theta, penalty, 60)
+        np.testing.assert_allclose(sol.state.fp_residuals,
+                                   [r[2] for r in ref], rtol=1e-9, atol=0)
+        history = sol.state.history
+        assert [h["iteration"] for h in history] == list(range(5, 61, 5))
+        for h in history:
+            primal, dual, _ = ref[h["iteration"] - 1]
+            assert h["primal_residual"] == pytest.approx(primal, rel=1e-9)
+            assert h["dual_residual"] == pytest.approx(dual, rel=1e-9)
+
+
+class TestExitPathSvds:
+    def test_one_svd_of_the_candidate(self, monkeypatch):
+        model = PlantedModel(m=240, n=240, M=80, N=80, c3=0.1,
+                             noise_family="uniform")
+        a = plant_rank_one(model, seed=3).a
+        config = SolverConfig(theta=1.0 / 80, tol_primal=1e-7, tol_dual=1e-7,
+                              tol_gap=1e-7)
+        full = []                 # compute_uv of each full-size SVD
+        svd_fn, check = np.linalg.svd, solver_module._check
+
+        def counting_svd(m, *args, **kwargs):
+            if np.shape(m) == a.shape:
+                full.append(kwargs.get("compute_uv", True))
+            return svd_fn(m, *args, **kwargs)
+
+        spans = []                # full-size SVDs before and after a check
+
+        def counting_check(*args):
+            before = len(full)
+            out = check(*args)
+            spans.append((before, len(full)))
+            return out
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(solver_module, "_check", counting_check)
+        sol = solve(a, config)
+        assert sol.converged
+        before, after = spans[-1]
+        # sigma(Y) without vectors, x_rep with them; nothing after the check
+        assert sorted(full[before:after]) == [False, True]
+        assert len(full) == after
