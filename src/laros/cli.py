@@ -11,7 +11,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -26,17 +26,6 @@ from .mmio import (FORMATS, MatrixParseError, parse_matrix, read_certificate,
 from .nmf import greedy_extract
 from .solver import (CertificateUnavailableError, ConvergenceError,
                      SolverConfig, check_optimality, recover_dual, solve)
-
-
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance serialized with every result record."""
-
-    command: str
-    inputs: dict
-    parameters: dict
-    version: str
-    duration_seconds: float
 
 
 def _one_based(indices):
@@ -69,11 +58,20 @@ def _solver_config(args, theta):
                         support_tol=args.support_tol)
 
 
-def _add_solver_flags(sub, theta_required=True):
-    if theta_required:
-        sub.add_argument("--theta", type=float, required=True,
-                         help="l1 weight in the objective (no default: results "
-                              "depend qualitatively on it)")
+def _solver_params(config):
+    """The settings of `config` that flags set, as a manifest records them."""
+    params = asdict(config)
+    del params["check_every"], params["track_history"]
+    return params
+
+
+def _add_theta_flag(sub):
+    sub.add_argument("--theta", type=float, required=True,
+                     help="l1 weight in the objective (no default: results "
+                          "depend qualitatively on it)")
+
+
+def _add_solver_flags(sub):
     sub.add_argument("--penalty", type=float, default=1.0)
     sub.add_argument("--max-iters", type=int, default=50000)
     sub.add_argument("--tol", type=float, default=1e-8,
@@ -88,8 +86,13 @@ def _add_io_flags(sub):
     sub.add_argument("--input", required=True, help="matrix file to read")
     sub.add_argument("--format", choices=FORMATS, default=None,
                      help="input format (default: detect from header)")
-    sub.add_argument("--output", default=None,
-                     help="result record path (default: stdout)")
+
+
+def _add_size_flags(sub, side, block_side):
+    """--m/--n (matrix), --M/--N (planted block) and --seed."""
+    for flag, default in (("--m", side), ("--n", side), ("--M", block_side),
+                          ("--N", block_side), ("--seed", 0)):
+        sub.add_argument(flag, type=int, default=default)
 
 
 def _cmd_solve(args):
@@ -117,12 +120,7 @@ def _cmd_solve(args):
     if cert is not None:
         write_certificate(args.certificate_output, cert)
         result["certificate_path"] = args.certificate_output
-    inputs = {"matrix": args.input}
-    params = {"theta": args.theta, "tol_primal": config.tol_primal,
-              "tol_dual": config.tol_dual, "tol_gap": config.tol_gap,
-              "support_tol": config.support_tol, "penalty": config.penalty,
-              "max_iters": config.max_iters}
-    return result, inputs, params
+    return result, {"matrix": args.input}, _solver_params(config)
 
 
 def _parse_index_list(text):
@@ -130,11 +128,11 @@ def _parse_index_list(text):
 
 
 def _cmd_thresholds(args):
-    a = parse_matrix(args.input, args.format)
-    result = {"theta_A": theta_A(a)}
     if bool(args.rows) != bool(args.cols):
         raise ValueError("--rows and --cols must be given together")
-    if args.rows and args.cols:
+    a = parse_matrix(args.input, args.format)
+    result = {"theta_A": theta_A(a)}
+    if args.rows:
         block = BlockSelector(rows=np.array(_parse_index_list(args.rows)),
                               cols=np.array(_parse_index_list(args.cols)))
         tb = theta_B(a, block)
@@ -143,24 +141,21 @@ def _cmd_thresholds(args):
         result["block_rows"] = _one_based(block.rows)
         result["block_cols"] = _one_based(block.cols)
     result["row_zero_thresholds"] = row_zero_thresholds(a)
-    inputs = {"matrix": args.input}
     params = {"rows": args.rows, "cols": args.cols}
-    return result, inputs, params
+    return result, {"matrix": args.input}, params
 
 
 def _cmd_plant(args):
     if args.kind == "two-block":
-        a = two_block_matrix()
-        write_matrix(args.matrix_output, a)
+        write_matrix(args.matrix_output, two_block_matrix())
         result = {"matrix_path": args.matrix_output, "rows": 6, "cols": 6,
                   "truth_rows": None, "truth_cols": None}
-        params = {"kind": args.kind}
-        return result, {}, params
-    model = PlantedModel(m=args.m, n=args.n, M=args.M, N=args.N,
-                         sigma0=args.sigma0, c1=args.c1, c2=args.c2,
-                         c3=args.c3, noise_family=args.noise_family,
-                         p_seed=args.p_seed, q_seed=args.q_seed)
-    inst = plant_rank_one(model, args.seed)
+        return result, {}, {"kind": args.kind}
+    # the model's fields that have a flag; b is derived from c3
+    flags = vars(args)
+    settings = {f.name: flags[f.name] for f in fields(PlantedModel)
+                if f.name in flags}
+    inst = plant_rank_one(PlantedModel(**settings), args.seed)
     write_matrix(args.matrix_output, inst.a)
     result = {
         "matrix_path": args.matrix_output,
@@ -168,12 +163,7 @@ def _cmd_plant(args):
         "truth_rows": _one_based(inst.truth.rows),
         "truth_cols": _one_based(inst.truth.cols),
     }
-    params = {"kind": args.kind, "m": args.m, "n": args.n, "M": args.M,
-              "N": args.N, "sigma0": args.sigma0, "c1": args.c1,
-              "c2": args.c2, "c3": args.c3,
-              "noise_family": args.noise_family, "seed": args.seed,
-              "p_seed": args.p_seed, "q_seed": args.q_seed}
-    return result, {}, params
+    return result, {}, {"kind": args.kind, "seed": args.seed, **settings}
 
 
 def _cmd_certify(args):
@@ -185,18 +175,9 @@ def _cmd_certify(args):
     cert = read_certificate(args.certificate, a.shape)
     scale = theta_norm(x, args.theta)
     report = check_optimality(a, args.theta, x / scale, cert)
-    result = {
-        "balance": report.balance,
-        "nuclear_alignment": report.nuclear_alignment,
-        "l1_alignment": report.l1_alignment,
-        "scalar_sum": report.scalar_sum,
-        "normalization": report.normalization,
-        "decomposition": report.decomposition,
-        "gap": report.gap,
-        "max_residual": report.max_residual,
-        "passed": report.passed(args.residual_tol),
-        "residual_tol": args.residual_tol,
-    }
+    result = {**asdict(report), "max_residual": report.max_residual,
+              "passed": report.passed(args.residual_tol),
+              "residual_tol": args.residual_tol}
     inputs = {"matrix": args.input, "solution": args.solution,
               "certificate": args.certificate}
     params = {"theta": args.theta, "residual_tol": args.residual_tol}
@@ -221,10 +202,10 @@ def _cmd_nmf(args):
         "requested": res.requested,
         "short_count": res.short_count,
     }
-    inputs = {"matrix": args.input}
-    params = {"theta": args.theta, "features": args.features,
-              "tol": args.tol}
-    return result, inputs, params
+    # theta as given: a schedule is recorded whole
+    params = {**_solver_params(config), "theta": args.theta,
+              "features": args.features}
+    return result, {"matrix": args.input}, params
 
 
 def _cmd_biclique(args):
@@ -259,9 +240,9 @@ def _cmd_biclique(args):
     }
     if args.matrix_output:
         result["matrix_path"] = args.matrix_output
-    params = {"m": args.m, "n": args.n, "M": args.M, "N": args.N,
-              "p_edge": args.p_edge, "seed": args.seed, "theta": theta,
-              "tol": args.tol}
+    params = {**_solver_params(config), "m": args.m, "n": args.n,
+              "M": args.M, "N": args.N, "p_edge": args.p_edge,
+              "seed": args.seed}
     return result, {}, params
 
 
@@ -275,6 +256,7 @@ def build_parser():
 
     p = subs.add_parser("solve", help="solve the relaxation for a matrix")
     _add_io_flags(p)
+    _add_theta_flag(p)
     _add_solver_flags(p)
     p.add_argument("--solution-output", default=None,
                    help="write the optimizer X as a MatrixMarket file")
@@ -293,27 +275,22 @@ def build_parser():
     p = subs.add_parser("plant", help="generate a planted instance")
     p.add_argument("--kind", choices=("planted", "two-block"),
                    default="planted")
-    p.add_argument("--m", type=int, default=120)
-    p.add_argument("--n", type=int, default=120)
-    p.add_argument("--M", type=int, default=40)
-    p.add_argument("--N", type=int, default=40)
+    _add_size_flags(p, 120, 40)
     p.add_argument("--sigma0", type=float, default=1.0)
     p.add_argument("--c1", type=float, default=0.0)
     p.add_argument("--c2", type=float, default=0.0)
     p.add_argument("--c3", type=float, default=0.1)
     p.add_argument("--noise-family", choices=NOISE_FAMILIES, default="uniform")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--p-seed", type=int, default=0)
     p.add_argument("--q-seed", type=int, default=0)
     p.add_argument("--matrix-output", required=True)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_plant)
 
     p = subs.add_parser("certify", help="check a solution/certificate pair")
     _add_io_flags(p)
     p.add_argument("--solution", required=True, help="solution matrix file")
     p.add_argument("--certificate", required=True, help="certificate JSON")
-    p.add_argument("--theta", type=float, required=True)
+    _add_theta_flag(p)
     p.add_argument("--residual-tol", type=float, default=1e-6)
     p.set_defaults(func=_cmd_certify)
 
@@ -322,26 +299,24 @@ def build_parser():
     p.add_argument("--theta", required=True,
                    help="l1 weight, or a comma-separated per-round schedule")
     p.add_argument("--features", type=int, required=True)
-    _add_solver_flags(p, theta_required=False)
+    _add_solver_flags(p)
     p.add_argument("--w-output", required=True)
     p.add_argument("--h-output", required=True)
     p.set_defaults(func=_cmd_nmf)
 
     p = subs.add_parser("biclique",
                         help="plant a biclique, solve, and score recovery")
-    p.add_argument("--m", type=int, default=60)
-    p.add_argument("--n", type=int, default=60)
-    p.add_argument("--M", type=int, default=15)
-    p.add_argument("--N", type=int, default=15)
+    _add_size_flags(p, 60, 15)
     p.add_argument("--p-edge", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta", type=float, default=None,
                    help="default: 1/sqrt(M*N)")
-    _add_solver_flags(p, theta_required=False)
+    _add_solver_flags(p)
     p.add_argument("--matrix-output", default=None)
-    p.add_argument("--output", default=None)
     p.set_defaults(func=_cmd_biclique)
 
+    for p in subs.choices.values():
+        p.add_argument("--output", default=None,
+                       help="result record path (default: stdout)")
     return parser
 
 
@@ -355,11 +330,10 @@ def main(argv=None):
             CertificateUnavailableError) as exc:
         print(f"laros {args.command}: {exc}", file=sys.stderr)
         return 1
-    manifest = RunManifest(command=args.command, inputs=inputs,
-                           parameters=params, version=__version__,
-                           duration_seconds=time.perf_counter() - start)
-    record = {"manifest": asdict(manifest), "result": result}
-    _emit(record, getattr(args, "output", None))
+    manifest = {"command": args.command, "inputs": inputs,
+                "parameters": params, "version": __version__,
+                "duration_seconds": time.perf_counter() - start}
+    _emit({"manifest": manifest, "result": result}, args.output)
     return 0
 
 

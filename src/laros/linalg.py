@@ -1,6 +1,7 @@
 """Dense matrix primitives: SVD with a fixed sign convention, the four norms,
 the composite theta-norm, proximal operators, and canonical subgradients."""
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,15 +49,18 @@ def svd(a):
     component of the left vector is nonnegative, making output reproducible
     across backends.
     """
-    m = as_matrix(a)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    v = vt.T
-    for k in range(s.size):
-        i = int(np.argmax(np.abs(u[:, k])))
-        if u[i, k] < 0:
-            u[:, k] = -u[:, k]
-            v[:, k] = -v[:, k]
-    return SvdFactors(singular_values=s, left_vectors=u, right_vectors=v)
+    u, s, vt = np.linalg.svd(as_matrix(a), full_matrices=False)
+    u, vt = _signed_pairs(u, vt)
+    return SvdFactors(singular_values=s, left_vectors=u, right_vectors=vt.T)
+
+
+def _signed_pairs(u, vt):
+    """Copies of the pairs (columns of u, rows of vt), each negated where
+    the largest-magnitude component of its left vector (the first such
+    index on ties) is negative."""
+    top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    sign = np.where(top < 0, -1.0, 1.0)
+    return u * sign, vt * sign[:, None]
 
 
 def norm(a, kind):
@@ -78,8 +82,9 @@ def norm(a, kind):
 
 def theta_norm(a, theta):
     """Composite norm: nuclear norm plus theta times the entrywise l1 norm."""
-    if theta < 0:
-        raise ValueError(f"theta must be nonnegative, got {theta}")
+    # written so that NaN fails too
+    if not 0.0 <= theta < math.inf:
+        raise ValueError(f"theta must be finite and nonnegative, got {theta}")
     m = as_matrix(a)
     return norm(m, "nuclear") + theta * norm(m, "l1")
 
@@ -90,7 +95,7 @@ def svt(a, tau):
     This is the proximal map of the nuclear norm, i.e. the unique minimizer
     of tau*||X||_* + 0.5*||X - a||_F^2.
     """
-    if tau < 0:
+    if not tau >= 0.0:  # NaN fails too; tau = inf gives the zero matrix
         raise ValueError(f"tau must be nonnegative, got {tau}")
     return _svt(as_matrix(a), tau)
 
@@ -100,7 +105,7 @@ def soft_threshold(a, tau):
 
     Proximal map of the entrywise l1 norm.
     """
-    if tau < 0:
+    if not tau >= 0.0:  # NaN fails too; tau = inf gives the zero matrix
         raise ValueError(f"tau must be nonnegative, got {tau}")
     return _soft_threshold(as_matrix(a), tau)
 

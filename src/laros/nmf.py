@@ -7,8 +7,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import BlockSelector
-from .linalg import as_matrix, svd
-from .solver import ConvergenceError, SolverConfig, solve
+from .linalg import as_matrix
+from .solver import ConvergenceError, SolverConfig, extract_rank_one, solve
 
 
 @dataclass(frozen=True)
@@ -88,11 +88,8 @@ def greedy_extract(a, p, theta, config=None):
                 f"dual={sol.state.dual_residual:.2e} "
                 f"certificate={sol.state.cert_residual:.2e}")
         block = BlockSelector(rows=sol.support_rows, cols=sol.support_cols)
-        sub = resid[np.ix_(block.rows, block.cols)]
-        f = svd(sub)
-        sigma = float(f.singular_values[0])
-        u = f.left_vectors[:, 0]
-        v = f.right_vectors[:, 0]
+        lead = extract_rank_one(resid[np.ix_(block.rows, block.cols)])
+        sigma, u, v = lead.sigma, lead.u, lead.v
         # Perron-Frobenius: the leading pair of a nonnegative submatrix is
         # nonnegative; the SVD sign convention realizes it up to roundoff.
         if u.min() < -1e-8 or v.min() < -1e-8:

@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (_nuclear_prox, _soft_threshold, as_matrix, norm,
-                     project_halfspace, theta_norm)
+from .linalg import (_nuclear_prox, _signed_pairs, _soft_threshold,
+                     as_matrix, norm, project_halfspace, theta_norm)
 
 
 # Entries per row block of the solver's fused consensus pass. Eleven
@@ -189,9 +189,8 @@ def _rank_one_parts(xm, factors, support_tol, rank_tol=1e-6):
     """RankOneParts of a nonzero `xm` from its thin SVD (u, s, vt), with
     the sign convention of `svd` applied to the leading pair."""
     u, s, vt = factors
-    u0, v0 = u[:, 0], vt[0]
-    if u0[int(np.argmax(np.abs(u0)))] < 0:
-        u0, v0 = -u0, -v0
+    u0, v0 = _signed_pairs(u[:, :1], vt[:1])
+    u0, v0 = u0[:, 0], v0[0]
     mag = np.abs(xm)
     cutoff = support_tol * mag.max()
     rows = np.flatnonzero(mag.max(axis=1) > cutoff)

@@ -124,6 +124,12 @@ class TestThresholdsCommand:
         assert table[2][0] is None
         assert table[1][1] is None  # diagonal undefined
 
+    def test_lone_rows_rejected_before_reading(self, tmp_path, capsys):
+        assert run(["thresholds", "--input", str(tmp_path / "nope.mtx"),
+                    "--rows", "1"]) == 1
+        assert capsys.readouterr().err == (
+            "laros thresholds: --rows and --cols must be given together\n")
+
 
 class TestPlantCommand:
     def test_planted_instance(self, tmp_path):
@@ -289,3 +295,24 @@ class TestBicliqueCommand:
         assert result["recovered"] == (truth_match
                                        and result["biclique_complete"])
         assert result["recovered"]
+
+
+class TestManifest:
+    def test_records_the_solver_settings_that_ran(self, demo_matrix,
+                                                  tmp_path):
+        flags = ["--penalty", "2", "--max-iters", "3000", "--tol", "1e-6",
+                 "--tol-gap", "1e-5", "--support-tol", "1e-5"]
+        runs = {
+            "solve": ["--input", demo_matrix, "--theta", "0.5"],
+            "nmf": ["--input", demo_matrix, "--theta", "0.5",
+                    "--features", "1", "--w-output", str(tmp_path / "w.mtx"),
+                    "--h-output", str(tmp_path / "h.mtx")],
+            "biclique": ["--m", "20", "--n", "20", "--M", "6", "--N", "6"],
+        }
+        want = {"penalty": 2.0, "max_iters": 3000, "tol_primal": 1e-6,
+                "tol_dual": 1e-6, "tol_gap": 1e-5, "support_tol": 1e-5}
+        for command, args in runs.items():
+            out = tmp_path / f"{command}.json"
+            assert run([command] + args + flags + ["--output", str(out)]) == 0
+            params = load(out)["manifest"]["parameters"]
+            assert {k: params[k] for k in want} == want, command

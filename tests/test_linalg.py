@@ -99,8 +99,10 @@ class TestThetaNorm:
         assert theta_norm(e11, 2.0) == pytest.approx(3.0)
 
     def test_negative_theta_rejected(self):
-        with pytest.raises(ValueError):
-            theta_norm(np.eye(2), -0.1)
+        for a in (np.eye(2), np.zeros((2, 2))):
+            for theta in (-0.1, np.nan, np.inf):
+                with pytest.raises(ValueError):
+                    theta_norm(a, theta)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 5.0))
@@ -126,12 +128,13 @@ class TestSvt:
 
     def test_tau_above_spectral_zeroes(self):
         a = np.random.default_rng(2).random((3, 3))
-        out = svt(a, norm(a, "spectral") + 0.1)
-        np.testing.assert_allclose(out, 0.0, atol=1e-12)
+        for tau in (norm(a, "spectral") + 0.1, np.inf):
+            np.testing.assert_allclose(svt(a, tau), 0.0, atol=1e-12)
 
     def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            svt(np.eye(2), -1.0)
+        for tau in (-1.0, np.nan):
+            with pytest.raises(ValueError):
+                svt(np.eye(2), tau)
 
     def test_matches_grid_oracle(self):
         # svt must realize the minimum of tau*||X||_* + 0.5*||X - A||_F^2:
@@ -159,7 +162,13 @@ class TestSoftThreshold:
 
     def test_tau_above_linf_zeroes(self):
         a = np.random.default_rng(4).random((3, 2))
-        np.testing.assert_allclose(soft_threshold(a, norm(a, "linf")), 0.0)
+        for tau in (norm(a, "linf"), np.inf):
+            np.testing.assert_allclose(soft_threshold(a, tau), 0.0)
+
+    def test_negative_tau_rejected(self):
+        for tau in (-1.0, np.nan):
+            with pytest.raises(ValueError):
+                soft_threshold(np.eye(2), tau)
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 3.0))
