@@ -123,18 +123,34 @@ def _cmd_solve(args):
     return result, {"matrix": args.input}, _solver_params(config)
 
 
-def _parse_index_list(text):
-    return [int(t) - 1 for t in text.split(",") if t.strip()]
+def _parse_index_list(text, flag):
+    """0-based indices from `text`, the comma-separated 1-based indices
+    given to `flag`; errors are stated in the flag's 1-based terms."""
+    indices = []
+    for item in text.split(","):
+        try:
+            index = int(item)
+        except ValueError:
+            what = "an empty item" if not item.strip() else repr(item.strip())
+            raise ValueError(f"{flag} takes comma-separated 1-based "
+                             f"integers, got {what} in {text!r}") from None
+        if index < 1:
+            raise ValueError(f"{flag} indices are 1-based, got {index}")
+        indices.append(index - 1)
+    return indices
 
 
 def _cmd_thresholds(args):
     if bool(args.rows) != bool(args.cols):
         raise ValueError("--rows and --cols must be given together")
+    block = None
+    if args.rows:
+        block = BlockSelector(
+            rows=np.array(_parse_index_list(args.rows, "--rows")),
+            cols=np.array(_parse_index_list(args.cols, "--cols")))
     a = parse_matrix(args.input, args.format)
     result = {"theta_A": theta_A(a)}
-    if args.rows:
-        block = BlockSelector(rows=np.array(_parse_index_list(args.rows)),
-                              cols=np.array(_parse_index_list(args.cols)))
+    if block is not None:
         tb = theta_B(a, block)
         result["theta_B"] = tb
         result["theta_B_applicable"] = tb is not None

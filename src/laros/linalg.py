@@ -70,7 +70,7 @@ def norm(a, kind):
     """
     m = as_matrix(a)
     if kind == "nuclear":
-        return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+        return float(np.sum(_support_svd(m, compute_uv=False)))
     if kind == "spectral":
         return float(np.linalg.svd(m, compute_uv=False)[0])
     if kind == "l1":
@@ -97,7 +97,8 @@ def svt(a, tau):
     """
     if not tau >= 0.0:  # NaN fails too; tau = inf gives the zero matrix
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    return _svt(as_matrix(a), tau)
+    left, right = _svt(as_matrix(a), tau)
+    return left @ right
 
 
 def soft_threshold(a, tau):
@@ -114,13 +115,43 @@ def soft_threshold(a, tau):
 # finite 2-D float array and tau >= 0.
 
 def _svt(m, tau):
-    """svt by a full LAPACK SVD."""
-    return _shrink(*np.linalg.svd(m, full_matrices=False), tau)
+    """svt by a full LAPACK SVD, as factors (see _factors)."""
+    return _factors(*np.linalg.svd(m, full_matrices=False), tau)
 
 
-def _shrink(u, s, vt, tau):
-    """u diag(max(s - tau, 0)) vt."""
-    return (u * np.maximum(s - tau, 0.0)) @ vt
+def _factors(u, s, vt, tau):
+    """svt from the thin SVD (u, s, vt) with s nonincreasing, as factors
+    (L, R) = (u_r diag(s_r - tau), vt_r) of L @ R, where r = count(s > tau)
+    may be 0; R is C-ordered."""
+    r = int(np.count_nonzero(s > tau))
+    return u[:, :r] * (s[:r] - tau), np.ascontiguousarray(vt[:r])
+
+
+def _support_svd(m, compute_uv=True):
+    """np.linalg.svd(m, full_matrices=False) taken on the nonzero rows and
+    columns of `m` only: a sparse candidate costs the SVD of its support.
+
+    Returns the k = min(support rows, support cols) singular values (the
+    others are zero), with compute_uv the vectors too, zero off the
+    support: u is m x k and vt is k x n.
+    """
+    rows = np.flatnonzero(m.any(axis=1))
+    cols = np.flatnonzero(m.any(axis=0))
+    if rows.size == m.shape[0] and cols.size == m.shape[1]:
+        return np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)
+    if rows.size == 0:
+        s = np.zeros(0)
+        return (np.zeros((m.shape[0], 0)), s, np.zeros((0, m.shape[1]))) \
+            if compute_uv else s
+    sub = m[np.ix_(rows, cols)]
+    if not compute_uv:
+        return np.linalg.svd(sub, compute_uv=False)
+    u_sub, s, vt_sub = np.linalg.svd(sub, full_matrices=False)
+    u = np.zeros((m.shape[0], s.size))
+    u[rows] = u_sub
+    vt = np.zeros((s.size, m.shape[1]))
+    vt[:, cols] = vt_sub
+    return u, s, vt
 
 
 def _soft_threshold(m, tau, out=None, scratch=None):
@@ -155,13 +186,14 @@ def _nuclear_prox(shape):
 class _WarmSvt:
     """svt for a sequence of nearby matrices, by warm-started block
     subspace iteration (Halko-Martinsson-Tropp 2011) that finds only the
-    singular triplets above tau.
+    singular triplets above tau, returned as factors (see _factors).
 
     Each call starts from the previous call's right Ritz vectors, in a block
     of k = previous rank + _RANK_STEP columns. A sweep orthonormalizes
-    Q = orth(m V), takes the Ritz triplets from the SVD of the small k x n
-    matrix Q^T m, and measures each residual ||m v - s u|| (m^T u = s v
-    holds by construction). The call returns when every kept triplet
+    Q = orth(m V), takes the Ritz triplets from the SVD of the small tall
+    n x k matrix m^T Q (about twice as fast as that of the wide Q^T m), and
+    measures each residual ||m v - s u|| (m^T u = s v holds by
+    construction). The call returns when every kept triplet
     (s > tau) has a residual of a few ulps of sigma_1 per block column
     (rounding in the k-column products sets a floor that grows with k) and
     the next Ritz value plus its residual is at most tau. If every Ritz
@@ -192,9 +224,10 @@ class _WarmSvt:
             if k >= self.cap:
                 break
             q = np.linalg.qr(y)[0]
-            ub, s, vt = np.linalg.svd(q.T @ m, full_matrices=False)
-            u = q @ ub
-            y = m @ vt.T
+            # m^T q as the transpose of the faster product q^T m
+            v, s, wt = np.linalg.svd((q.T @ m).T, full_matrices=False)
+            u = q @ wt.T
+            y = m @ v
             res = np.linalg.norm(y - u * s, axis=0)
             r = int(np.count_nonzero(s > tau))
             if r == k:
@@ -203,12 +236,13 @@ class _WarmSvt:
                 continue
             if res[:r].max(initial=0.0) <= _RESIDUAL_ULPS * k * eps * s[0] \
                     and s[r] + res[r] <= tau:
-                self.basis, self.rank = vt.T, r
-                return _shrink(u[:, :r], s[:r], vt[:r], tau)
+                self.basis, self.rank = v, r
+                return _factors(u, s, v.T, tau)
         u, s, vt = np.linalg.svd(m, full_matrices=False)
-        self.rank = int(np.count_nonzero(s > tau))
+        out = _factors(u, s, vt, tau)
+        self.rank = out[0].shape[1]
         self.basis = vt[:self.rank + _RANK_STEP].T
-        return _shrink(u, s, vt, tau)
+        return out
 
 
 def project_halfspace(x, a, level):

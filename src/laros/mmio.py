@@ -4,6 +4,7 @@ array-format round trip is byte-identical. Also the JSON file format of a
 dual certificate (`write_certificate`, `read_certificate`)."""
 
 import json
+import re
 
 import numpy as np
 
@@ -14,6 +15,8 @@ FORMATS = ("matrixmarket-array", "matrixmarket-coordinate", "csv")
 
 _MM_ARRAY_HEADER = "%%MatrixMarket matrix array real general"
 _MM_COORD_HEADER = "%%MatrixMarket matrix coordinate real general"
+# the line boundaries of str.splitlines
+_LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class MatrixParseError(ValueError):
@@ -52,6 +55,18 @@ def _data_lines(lines, start=0):
             yield index + 1, text
 
 
+def _text_lines(text):
+    """(line number, line, offset just past its line break) of each line of
+    `text` as `text.splitlines()` numbers them, split one at a time: a
+    caller that stops early leaves the rest of the text unsplit."""
+    start = no = 0
+    for no, brk in enumerate(_LINE_BREAK.finditer(text), 1):
+        yield no, text[start:brk.start()], brk.end()
+        start = brk.end()
+    if start < len(text):
+        yield no + 1, text[start:], len(text)
+
+
 def _floats(tokens, count):
     """float64 array of `tokens` converted by Python's `float`, or None if
     there are not `count` of them or one is not a finite number."""
@@ -73,27 +88,29 @@ def parse_matrix(path, fmt=None):
     indices and densify missing entries to zero.
 
     Array and CSV values are converted as one token list; only a file that
-    fails a check is walked line by line, to name the offending line.
+    fails a check is walked line by line, to name the offending line. The
+    array body is tokenized straight from the file's text, which is split
+    into lines only for a body with comments or for the error walk.
     """
     if fmt is not None and fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     with open(path, "r", encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines:
+        text = handle.read()
+    if not text:
         raise MatrixParseError(path, 1, "empty file")
 
-    first = lines[0].strip()
+    first = next(_text_lines(text))[1].strip()
     if first.startswith("%%MatrixMarket"):
         header_fmt = _parse_mm_header(first, path)
         if fmt is not None and fmt != header_fmt:
             raise MatrixParseError(path, 1,
                                    f"header declares {header_fmt}, expected {fmt}")
         if header_fmt == "matrixmarket-array":
-            return _parse_mm_array(lines, path)
-        return _parse_mm_coordinate(lines, path)
+            return _parse_mm_array(text, path)
+        return _parse_mm_coordinate(text, path)
     if fmt in ("matrixmarket-array", "matrixmarket-coordinate"):
         raise MatrixParseError(path, 1, "missing MatrixMarket header")
-    return _parse_csv(lines, path)
+    return _parse_csv(text.splitlines(), path)
 
 
 def _parse_mm_header(line, path):
@@ -104,29 +121,40 @@ def _parse_mm_header(line, path):
     return f"matrixmarket-{tokens[2]}"
 
 
-def _size_line(lines, path, fields):
-    """Line number and integer fields of the size line after the header."""
-    try:
-        no, size_line = next(_data_lines(lines, 1))
-    except StopIteration:
-        raise MatrixParseError(path, len(lines), "missing size line") from None
+def _size_line(text, path, fields):
+    """Line number and integer fields of the size line after the header,
+    and the offset in `text` just past its line break."""
+    no = 1
+    lines = _text_lines(text)
+    next(lines)  # the header
+    for no, line, end in lines:
+        size_line = line.strip()
+        if size_line and not size_line.startswith("%"):
+            break
+    else:
+        raise MatrixParseError(path, no, "missing size line")
     tokens = size_line.split()
     if len(tokens) != len(fields):
         raise MatrixParseError(path, no, "size line must be "
                                f"'{' '.join(fields)}', got {size_line!r}")
-    return no, [_int(t, path, no) for t in tokens]
+    return no, [_int(t, path, no) for t in tokens], end
 
 
-def _parse_mm_array(lines, path):
-    no, (m, n) = _size_line(lines, path, ("rows", "cols"))
+def _parse_mm_array(text, path):
+    no, (m, n), end = _size_line(text, path, ("rows", "cols"))
     if m < 1 or n < 1:
         raise MatrixParseError(path, no, f"dimensions must be positive, got {m} {n}")
-    body = " ".join(lines[no:])
-    if "%" in body:  # comment lines inside the data
-        body = " ".join(text for _, text in _data_lines(lines, no))
-    values = _floats(body.split(), m * n)
+    if text.find("%", end) < 0:
+        # text[end - 1] ends a line, so the body's tokens are those of the
+        # whole text after the ones before it
+        tokens = text.split()
+        del tokens[:len(text[:end].split())]
+    else:  # comment lines inside the data
+        tokens = " ".join(line for _, line in
+                          _data_lines(text[end:].splitlines())).split()
+    values = _floats(tokens, m * n)
     if values is None:
-        _raise_array_error(lines, no, path, m * n)
+        _raise_array_error(text.splitlines(), no, path, m * n)
     return values.reshape((n, m)).T  # file order is column-major
 
 
@@ -143,8 +171,9 @@ def _raise_array_error(lines, start, path, count):
                            f"expected {count} entries, found {found}")
 
 
-def _parse_mm_coordinate(lines, path):
-    no, (m, n, nnz) = _size_line(lines, path, ("rows", "cols", "nnz"))
+def _parse_mm_coordinate(text, path):
+    no, (m, n, nnz), _ = _size_line(text, path, ("rows", "cols", "nnz"))
+    lines = text.splitlines()
     if m < 1 or n < 1 or nnz < 0:
         raise MatrixParseError(path, no, f"bad size line {lines[no - 1].strip()!r}")
     out = np.zeros((m, n))

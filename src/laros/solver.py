@@ -15,12 +15,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (_nuclear_prox, _signed_pairs, _soft_threshold,
-                     as_matrix, norm, project_halfspace, theta_norm)
+                     _support_svd, as_matrix, norm, project_halfspace,
+                     theta_norm)
 
 
-# Entries per row block of the solver's fused consensus pass. Eleven
-# block-sized arrays are live in one block, 1.4 MB at 2^14 doubles: within
-# a 2 MB per-core L2 cache.
+# Entries per row block of the solver's fused consensus pass. Ten
+# block-sized arrays are live in one block, 1.3 MB at 2^14 doubles: within
+# a 2 MB per-core L2 cache. The nuclear prox output adds only its factors.
 _BLOCK_ENTRIES = 2 ** 14
 
 
@@ -181,16 +182,17 @@ def extract_rank_one(x, support_tol=1e-6, rank_tol=1e-6):
         return RankOneParts(0.0, np.zeros(xm.shape[0]), np.zeros(xm.shape[1]),
                             np.array([], dtype=int), np.array([], dtype=int),
                             False)
-    return _rank_one_parts(xm, np.linalg.svd(xm, full_matrices=False),
-                           support_tol, rank_tol)
+    return _rank_one_parts(xm, _support_svd(xm), support_tol, rank_tol)
 
 
 def _rank_one_parts(xm, factors, support_tol, rank_tol=1e-6):
-    """RankOneParts of a nonzero `xm` from its thin SVD (u, s, vt), with
-    the sign convention of `svd` applied to the leading pair."""
+    """RankOneParts of a nonzero `xm` from its thin SVD (u, s, vt) or
+    `_support_svd`, with the sign convention of `svd` applied to the
+    leading pair."""
     u, s, vt = factors
     u0, v0 = _signed_pairs(u[:, :1], vt[:1])
-    u0, v0 = u0[:, 0], v0[0]
+    # + 0.0: the zeros off the support read 0.0 whichever sign a pair took
+    u0, v0 = u0[:, 0] + 0.0, v0[0] + 0.0
     mag = np.abs(xm)
     cutoff = support_tol * mag.max()
     rows = np.flatnonzero(mag.max(axis=1) > cutoff)
@@ -203,13 +205,18 @@ class _Check(NamedTuple):
     """Certificate pieces at one iterate, from one certificate check."""
 
     x_rep: np.ndarray         # candidate normalized to <A, x_rep> = 1
-    fx: tuple                 # thin SVD (u, s, vt) of x_rep
+    fx: tuple                 # _support_svd (u, s, vt) of x_rep
     lam: float                # ||x_rep||_theta
     y: np.ndarray
     z: np.ndarray
     sy: np.ndarray            # singular values of y
     dual: float               # max{||Y||, ||Z||_inf/theta}
     residual: float           # max(balance, alignment), relative
+
+    @property
+    def gap(self):
+        """Relative weak-duality gap (dual - 1/lam) * lam, clipped at 0."""
+        return max(0.0, self.dual - 1.0 / self.lam) * self.lam
 
 
 def _check(a, theta, rho, xbar, v2):
@@ -218,8 +225,8 @@ def _check(a, theta, rho, xbar, v2):
     The l1-side multiplier G2 = rho*(v2 - prox(v2)) is an exact subgradient
     of theta*||.||_1 at the thresholded copy, so Z = G2/objective satisfies
     its norm bound and alignment exactly; all convergence error lands in Y.
-    The SVD of the candidate, with vectors, also serves the certificate's
-    alpha and the solution's rank-one parts.
+    The SVD of the candidate, with vectors and taken on its support, also
+    serves the certificate's alpha and the solution's rank-one parts.
     """
     x2 = _soft_threshold(v2, theta / rho)
     g2 = rho * (v2 - x2)
@@ -231,7 +238,7 @@ def _check(a, theta, rho, xbar, v2):
         gain = float(np.vdot(a, x2))
         g2 = np.clip(rho * (v2 - x2), -theta, theta)
     x_rep = x2 / gain
-    fx = np.linalg.svd(x_rep, full_matrices=False)
+    fx = _support_svd(x_rep)
     nuc_rep = float(np.sum(fx[1]))
     lam = nuc_rep + theta * norm(x_rep, "l1")  # ||x_rep||_theta
     z = g2 / lam
@@ -271,10 +278,10 @@ def solve(a, config):
     Three-copy consensus splitting: nuclear prox (singular value
     thresholding), l1 prox (soft thresholding), and halfspace projection,
     iterated on the three prox inputs. Stops when copy disagreement,
-    consensus drift, and the certificate residual all fall below the
-    configured tolerances. On non-convergence the final iterate is
-    returned with converged=False. Either way the dual certificate is the
-    one checked at the final iterate.
+    consensus drift, the certificate residual and the certified gap all
+    fall below the configured tolerances. On non-convergence the final
+    iterate is returned with converged=False. Either way the dual
+    certificate is the one checked at the final iterate.
 
     The problem is homogeneous in a: the splitting runs on a / 2^e, with e
     chosen so that ||a / 2^e||_inf lies in [0.5, 1), where ||a||_F^2 and
@@ -319,22 +326,23 @@ def solve(a, config):
     # the loop always checks at k == max_iters and stops only right after
     # a passing check, so the last check is always of the final iterate
     for k in range(1, config.max_iters + 1):
-        x1 = nuclear_prox(v[0], 1.0 / rho)
+        # the nuclear copy x1 = left @ right, formed one row block at a time
+        left, right = nuclear_prox(v[0], 1.0 / rho)
         lift = max(0.0, 1.0 - g) / nf2
-        # One pass over row blocks that stay in cache: the l1 and
-        # halfspace copies x2, x3, the average xbar+ of the three copies,
-        # the next prox inputs v_i + (xbar+ - xbar) - (x_i - xbar+), and
-        # the sums behind the stopping test and the next halfspace step.
+        # One pass over row blocks that stay in cache: the three copies
+        # x1, x2, x3, their average xbar+, the next prox inputs
+        # v_i + (xbar+ - xbar) - (x_i - xbar+), and the sums behind the
+        # stopping test and the next halfspace step.
         rr = ss = nn = g = 0.0
         for b, w, d in blocks:
             vb, xn = v[:, b], xnew[b]
+            np.dot(left[b], right, out=w[0])
             _soft_threshold(vb[1], tau_l1, out=w[1], scratch=d)
             np.add(vb[2], np.multiply(lift, a[b], out=w[2]), out=w[2])
-            np.add(x1[b], w[1], out=xn)
+            np.add(w[0], w[1], out=xn)
             np.add(xn, w[2], out=xn)
             np.divide(xn, 3.0, out=xn)
-            np.subtract(x1[b], xn, out=w[0])
-            np.subtract(w[1:], xn, out=w[1:])    # w_i = x_i - xbar+
+            np.subtract(w, xn, out=w)    # w_i = x_i - xbar+
             rr += float(np.vdot(w, w))
             np.subtract(xn, xbar[b], out=d)
             ss += float(np.vdot(d, d))
@@ -357,7 +365,7 @@ def solve(a, config):
             # square is rr + 3 ss, as the x_i - xbar+ sum to zero.
             fp_residuals.append(math.ldexp(math.sqrt(rr + 3.0 * ss), -e))
 
-        # convergence needs all three tests, so a check whose residuals
+        # convergence needs all four tests, so a check whose residuals
         # fail cannot stop the solve: it runs only for the history
         can_stop = r_rel <= config.tol_primal and s_rel <= config.tol_dual
         if k != config.max_iters and (k % config.check_every or not (
@@ -376,13 +384,12 @@ def solve(a, config):
                 "dual_residual": s_rel,
                 "weak_duality_slack": math.ldexp(chk.dual - 1.0 / chk.lam, e),
             })
-        if can_stop and chk.residual <= config.tol_gap:
+        if can_stop and max(chk.residual, chk.gap) <= config.tol_gap:
             converged = True
             break
 
     cert = _dual_certificate(chk)
     lam = chk.lam
-    gap = max(0.0, cert.dual_norm - 1.0 / lam) * lam
     parts = _rank_one_parts(chk.x_rep, chk.fx, config.support_tol)
     unique_spectral = cert.spectral_gap > 1e-8 * max(float(chk.sy[0]), 1e-300)
     unique_linf = theta > 0 and cert.linf_argmax_count == 1
@@ -400,7 +407,7 @@ def solve(a, config):
     return Solution(x=np.ldexp(chk.x_rep, -e, out=chk.x_rep),
                     sigma=math.ldexp(parts.sigma, -e), u=parts.u, v=parts.v,
                     support_rows=parts.rows, support_cols=parts.cols,
-                    objective=math.ldexp(lam, -e), gap=gap, iterations=k,
+                    objective=math.ldexp(lam, -e), gap=chk.gap, iterations=k,
                     converged=converged,
                     non_unique=not (unique_spectral or unique_linf),
                     state=state)

@@ -130,6 +130,24 @@ class TestThresholdsCommand:
         assert capsys.readouterr().err == (
             "laros thresholds: --rows and --cols must be given together\n")
 
+    @pytest.mark.parametrize("rows, cols, message", [
+        ("0", "1", "--rows indices are 1-based, got 0"),
+        ("1,2", "3,-1", "--cols indices are 1-based, got -1"),
+        ("1,,2", "1", "--rows takes comma-separated 1-based integers, got "
+                      "an empty item in '1,,2'"),
+        ("1,2,", "1", "--rows takes comma-separated 1-based integers, got "
+                      "an empty item in '1,2,'"),
+        ("1", "2, x", "--cols takes comma-separated 1-based integers, got "
+                      "'x' in '2, x'"),
+        ("1.5", "1", "--rows takes comma-separated 1-based integers, got "
+                     "'1.5' in '1.5'")],
+        ids=["zero", "negative", "empty", "trailing", "word", "decimal"])
+    def test_bad_indices_rejected_before_reading(self, tmp_path, capsys,
+                                                 rows, cols, message):
+        assert run(["thresholds", "--input", str(tmp_path / "nope.mtx"),
+                    "--rows", rows, "--cols", cols]) == 1
+        assert capsys.readouterr().err == f"laros thresholds: {message}\n"
+
 
 class TestPlantCommand:
     def test_planted_instance(self, tmp_path):

@@ -296,10 +296,12 @@ def spectrum_matrix(rng, m, n, sigmas, noise=1e-3):
         + noise * rng.standard_normal((m, n)) / np.sqrt(max(m, n))
 
 
-def close_to_svt(out, a, tau, rtol=1e-12):
+def close_to_svt(factors, a, tau, rtol=1e-12):
+    """The product of a prox's factors (L, R) is svt(a, tau) to rtol."""
+    left, right = factors
     ref = svt(a, tau)
     scale = max(np.linalg.norm(ref), np.linalg.norm(a))
-    assert np.linalg.norm(out - ref) <= rtol * scale
+    assert np.linalg.norm(left @ right - ref) <= rtol * scale
 
 
 @pytest.fixture
@@ -386,12 +388,14 @@ class TestWarmSvt:
         top = norm(a, "spectral")
         prox = linalg._WarmSvt(shape)
         for tau in (2.0 * top, top * (1.0 + 1e-12)):
-            out = prox(a, tau)
-            assert out.shape == a.shape and not out.any()
+            left, right = prox(a, tau)
+            assert left.shape == (shape[0], 0)
+            assert right.shape == (0, shape[1])
             assert prox.rank == 0
         # at tau = sigma_1 a Ritz value may round an ulp above tau
         close_to_svt(prox(a, top), a, top, rtol=1e-15)
-        assert not prox(np.zeros(shape), 0.5).any()
+        left, right = prox(np.zeros(shape), 0.5)
+        assert (left.shape, right.shape) == ((shape[0], 0), (0, shape[1]))
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_fallback_at_quarter_dimension(self, shape, svd_shapes):
@@ -399,11 +403,11 @@ class TestWarmSvt:
         prox = linalg._WarmSvt(shape)
         rank = int(min(shape) / 4) + 2
         a = spectrum_matrix(rng, *shape, np.linspace(9.0, 3.0, rank))
-        out = prox(a, 1.0)
+        left, right = prox(a, 1.0)
         # the block grew to min(m, n)/4 and the call took the full SVD,
         # whose output is exactly svt's
         assert svd_shapes[-1] == shape
-        assert np.array_equal(out, svt(a, 1.0))
+        assert np.array_equal(left @ right, svt(a, 1.0))
         assert prox.rank == rank
         assert prox.basis.shape == (shape[1], rank + linalg._RANK_STEP)
 
@@ -412,7 +416,75 @@ class TestWarmSvt:
         a = spectrum_matrix(rng, 120, 120, [3.0, 2.0])
         monkeypatch.setattr(linalg, "_SWEEPS", 0)
         prox = linalg._WarmSvt(a.shape)
-        out = prox(a, 1.0)
+        left, right = prox(a, 1.0)
         assert svd_shapes == [a.shape]
-        assert np.array_equal(out, svt(a, 1.0))
+        assert np.array_equal(left @ right, svt(a, 1.0))
         assert prox.rank == 2
+
+
+class TestFactorForm:
+    """Both nuclear prox paths return svt as factors (L, R) of rank
+    r = count(s > tau), r = 0 included."""
+
+    # below and at the crossover dimension: _svt, then _WarmSvt
+    @pytest.mark.parametrize("shape", [(30, 45), (120, 120)])
+    @pytest.mark.parametrize("sigmas", [[0.5], [5.0], [5.0, 3.0, 2.0]])
+    def test_product_is_svt(self, shape, sigmas):
+        rng = np.random.default_rng(36)
+        a = spectrum_matrix(rng, *shape, sigmas)
+        rank = sum(sigma > 1.0 for sigma in sigmas)
+        prox = linalg._nuclear_prox(shape)
+        assert (prox is linalg._svt) == (min(shape) <
+                                         linalg._PARTIAL_SVT_MIN_DIM)
+        left, right = prox(a, 1.0)
+        assert left.shape == (shape[0], rank)
+        assert right.shape == (rank, shape[1])
+        assert right.flags.c_contiguous
+        close_to_svt((left, right), a, 1.0)
+        # columns of L carry s_i - tau: their norms are the shrunk values
+        s = np.linalg.svd(a, compute_uv=False)
+        np.testing.assert_allclose(np.linalg.norm(left, axis=0),
+                                   s[:rank] - 1.0, rtol=1e-12)
+
+
+class TestSupportSvd:
+    """The SVD of a matrix's nonzero rows and columns, padded with zeros,
+    is its SVD."""
+
+    ROWS, COLS = [3, 7, 8, 20, 39], [0, 5, 6, 29]
+
+    def sparse(self, seed):
+        m = np.zeros((40, 30))
+        m[np.ix_(self.ROWS, self.COLS)] = \
+            np.random.default_rng(seed).standard_normal((5, 4))
+        return m
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_zero_rows_and_columns(self, seed):
+        m = self.sparse(seed)
+        u, s, vt = linalg._support_svd(m)
+        full = np.linalg.svd(m, compute_uv=False)
+        assert u.shape == (40, 4) and s.shape == (4,) and vt.shape == (4, 30)
+        assert np.abs(s - full[:4]).max() <= 1e-15 * full[0]
+        assert not np.delete(u, self.ROWS, axis=0).any()
+        assert not np.delete(vt, self.COLS, axis=1).any()
+        np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(vt @ vt.T, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose((u * s) @ vt, m, rtol=0,
+                                   atol=1e-14 * full[0])
+        values = linalg._support_svd(m, compute_uv=False)
+        assert np.abs(values - full[:4]).max() <= 1e-15 * full[0]
+        assert norm(m, "nuclear") == pytest.approx(full.sum(), rel=1e-15)
+
+    def test_full_support_is_the_full_svd(self):
+        m = np.random.default_rng(5).standard_normal((9, 6))
+        for got, want in zip(linalg._support_svd(m),
+                             np.linalg.svd(m, full_matrices=False)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(linalg._support_svd(m, compute_uv=False),
+                              np.linalg.svd(m, compute_uv=False))
+
+    def test_zero_matrix(self):
+        u, s, vt = linalg._support_svd(np.zeros((4, 3)))
+        assert (u.shape, s.shape, vt.shape) == ((4, 0), (0,), (0, 3))
+        assert norm(np.zeros((4, 3)), "nuclear") == 0.0

@@ -323,3 +323,99 @@ class TestCertificateFile:
         path.write_text(text)
         with pytest.raises(ValueError, match=str(path)):
             read_certificate(path, (2, 2))
+
+
+def _walk_mm_array(path):
+    """Line-by-line reference parse of a MatrixMarket array file: the
+    matrix, or the (line, message) of the first fault. Every line is split
+    and every token converted on its own, as the error walk does."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    data = [(i + 1, text.strip()) for i, text in enumerate(lines)
+            if text.strip() and not text.strip().startswith("%")]
+    data = [(no, text) for no, text in data if no > 1]
+    if not data:
+        return len(lines), "missing size line"
+    (no, size), body = data[0], data[1:]
+    if len(size.split()) != 2:
+        return no, f"size line must be 'rows cols', got {size!r}"
+    dims = []
+    for token in size.split():
+        try:
+            dims.append(int(token))
+        except ValueError:
+            return no, f"expected integer, got {token!r}"
+    m, n = dims
+    if m < 1 or n < 1:
+        return no, f"dimensions must be positive, got {m} {n}"
+    values = []
+    for no, text in body:
+        for token in text.split():
+            if len(values) == m * n:
+                return no, "more entries than rows*cols"
+            try:
+                value = float(token)
+            except ValueError:
+                return no, f"non-numeric token {token!r}"
+            if not np.isfinite(value):
+                return no, f"non-finite value {token!r}"
+            values.append(value)
+    if len(values) != m * n:
+        return len(lines), f"expected {m * n} entries, found {len(values)}"
+    return np.array(values).reshape((n, m)).T
+
+
+class TestArrayParseDifferential:
+    """parse_matrix agrees with the line-by-line reference walk on random
+    array files: the same bits, or the same error line and message."""
+
+    # whitespace between tokens: line breaks of str.splitlines (which the
+    # file read turns partly into "\n"), and whitespace that breaks no line
+    SEPARATORS = [" ", "\t", "  ", "\n", "\r\n", "\r", "\v", "\f", "\x1c",
+                  "\x1d", "\x1e", "\x85", " ", " ", "\x1f", "\xa0",
+                  "\n\n", "\n% comment\n", "\r\n  % indented 1 2\r\n"]
+    BAD = ["x", "inf", "-nan", "1e999", "1%2", "0x1p3", "1,5"]
+
+    def _text(self, rng):
+        m, n = (int(v) for v in rng.integers(1, 5, 2))
+        count = m * n + int(rng.choice([0, 0, 0, -1, 1, 2]))
+        tokens = []
+        for _ in range(max(count, 0)):
+            value = float(rng.standard_normal()
+                          * 10.0 ** rng.integers(-310, 300))
+            tokens.append(rng.choice([repr(value), f"{value:.3e}", "-0",
+                                      "1_000", "5e-324", ".5"]))
+        if tokens and rng.random() < 0.3:
+            tokens[int(rng.integers(len(tokens)))] = str(rng.choice(self.BAD))
+        size = rng.choice([f"{m} {n}", f"{m} {n}", f"{m} {n}", f"{m}",
+                           f"{m} x", f"0 {n}", f"{m} {n} 1"])
+        seps = self.SEPARATORS
+        head = ["%%MatrixMarket matrix array real general",
+                rng.choice(["\n", "\r\n", "\n% c\n\n", "   \n"]), size]
+        if rng.random() < 0.1:
+            return "".join(head[:2])  # no size line
+        body = [rng.choice(["\n", "\r\n", "\n% c\n", "\x85"])]
+        for token in tokens:
+            body += [token, str(rng.choice(seps))]
+        return "".join(head + body[:len(body) - int(rng.random() < 0.3)])
+
+    def test_agrees_with_reference_walk(self, tmp_path):
+        rng = np.random.default_rng(8)
+        path = tmp_path / "a.mtx"
+        outcomes = set()
+        for _ in range(600):
+            path.write_text(self._text(rng), encoding="utf-8", newline="")
+            want = _walk_mm_array(path)
+            if isinstance(want, tuple):
+                with pytest.raises(MatrixParseError) as err:
+                    parse_matrix(path)
+                assert (err.value.line, err.value.message) == want
+                outcomes.add(want[1].split()[0])
+            else:
+                got = parse_matrix(path)
+                assert got.shape == want.shape
+                assert (got.view(np.int64) == want.view(np.int64)).all()
+                outcomes.add("ok")
+        # every kind of outcome was drawn
+        assert outcomes >= {"ok", "missing", "size", "expected", "dimensions",
+                            "more", "non-numeric", "non-finite"}

@@ -361,11 +361,11 @@ class TestNuclearProxPath:
             calls = []
 
             def call(m, tau):
-                out = prox(m, tau)
+                left, right = prox(m, tau)
                 calls.append(tau)
                 if len(calls) == 29:
-                    out[0, 0] = np.nan
-                return out
+                    left[0, 0] = np.nan  # a factor of x1 = left @ right
+                return left, right
             return call
 
         monkeypatch.setattr(solver_module, "_nuclear_prox", poisoned)
@@ -520,20 +520,19 @@ class TestExitPathSvds:
         a = plant_rank_one(model, seed=3).a
         config = SolverConfig(theta=1.0 / 80, tol_primal=1e-7, tol_dual=1e-7,
                               tol_gap=1e-7)
-        full = []                 # compute_uv of each full-size SVD
+        svds = []                 # (shape, compute_uv) of each SVD
         svd_fn, check = np.linalg.svd, solver_module._check
 
         def counting_svd(m, *args, **kwargs):
-            if np.shape(m) == a.shape:
-                full.append(kwargs.get("compute_uv", True))
+            svds.append((np.shape(m), kwargs.get("compute_uv", True)))
             return svd_fn(m, *args, **kwargs)
 
-        spans = []                # full-size SVDs before and after a check
+        spans = []                # SVDs before and after a check
 
         def counting_check(*args):
-            before = len(full)
+            before = len(svds)
             out = check(*args)
-            spans.append((before, len(full)))
+            spans.append((before, len(svds)))
             return out
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
@@ -541,6 +540,31 @@ class TestExitPathSvds:
         sol = solve(a, config)
         assert sol.converged
         before, after = spans[-1]
-        # sigma(Y) without vectors, x_rep with them; nothing after the check
-        assert sorted(full[before:after]) == [False, True]
-        assert len(full) == after
+        support = (int(np.count_nonzero(sol.x.any(axis=1))),
+                   int(np.count_nonzero(sol.x.any(axis=0))))
+        assert support[0] < a.shape[0] and support[1] < a.shape[1]
+        # sigma(Y) without vectors, x_rep with them on its nonzero rows and
+        # columns; nothing after the check
+        assert sorted(svds[before:after]) == sorted([(a.shape, False),
+                                                     (support, True)])
+        assert len(svds) == after
+
+
+class TestGapStop:
+    """converged=True needs the certified gap at tol_gap, not only the
+    certificate residual."""
+
+    def test_residual_alone_does_not_stop(self, monkeypatch):
+        config = SolverConfig(theta=0.5, max_iters=1500)
+        assert solve(two_block_matrix(), config).iterations == 1025
+        check = solver_module._check
+
+        def gapped(*args):
+            chk = check(*args)
+            # the residual passes; dual - 1/lam = 1/lam does not
+            return chk._replace(residual=0.0, dual=2.0 / chk.lam)
+
+        monkeypatch.setattr(solver_module, "_check", gapped)
+        sol = solve(two_block_matrix(), config)
+        assert not sol.converged and sol.iterations == 1500
+        assert sol.gap == pytest.approx(1.0)
