@@ -170,6 +170,12 @@ def _soft_threshold(m, tau, out=None, scratch=None):
 # biclique solves (one BLAS thread): at 60 x 60 the full SVD was 1.1x
 # faster, at 80 x 80 the subspace iteration was 1.6x faster.
 _PARTIAL_SVT_MIN_DIM = 80
+# Block columns beyond the previous rank. Extra columns speed convergence
+# only when the spectrum decays past the block, and the thin products cost
+# far more at 5-7 columns than at 1-4 (OpenBLAS 0.3.31, one thread, Xeon:
+# 480 x 480 @ 480 x k took 34/40/71/59 us at k = 1-4, 178/185/233 us at
+# k = 5-7). Two keep one probe column beyond the next Ritz value.
+_OVERSAMPLE = 2
 _RANK_STEP = 5         # block growth: the rank increment of Cai-Candes-Shen
 _SWEEPS = 12           # subspace sweeps per call before the LAPACK fallback
 _RESIDUAL_ULPS = 4     # kept triplets: ||m v - s u|| <= ULPS*k*eps*sigma_1
@@ -189,7 +195,8 @@ class _WarmSvt:
     singular triplets above tau, returned as factors (see _factors).
 
     Each call starts from the previous call's right Ritz vectors, in a block
-    of k = previous rank + _RANK_STEP columns. A sweep orthonormalizes
+    of k = previous rank + _OVERSAMPLE columns, kept C-ordered so that
+    every thin product m @ v takes BLAS's fast path. A sweep orthonormalizes
     Q = orth(m V), takes the Ritz triplets from the SVD of the small tall
     n x k matrix m^T Q (about twice as fast as that of the wide Q^T m), and
     measures each residual ||m v - s u|| (m^T u = s v holds by
@@ -198,9 +205,12 @@ class _WarmSvt:
     (rounding in the k-column products sets a floor that grows with k) and
     the next Ritz value plus its residual is at most tau. If every Ritz
     value exceeds tau, the block grows by _RANK_STEP random columns
-    (Cai-Candes-Shen 2010). A call whose block reaches min(m, n)/4, or that
-    runs out of sweeps, uses the full SVD. Random columns come from a
-    generator seeded per instance, so a solve is reproducible.
+    (Cai-Candes-Shen 2010): the oversampling keeps the common call, whose
+    rank has not moved, on narrow products, and the growth lets a rising
+    rank be caught within the sweep budget. A call whose block reaches
+    min(m, n)/4, or that runs out of sweeps, uses the full SVD. Random
+    columns come from a generator seeded per instance, so a solve is
+    reproducible.
     """
 
     def __init__(self, shape):
@@ -214,8 +224,8 @@ class _WarmSvt:
         return self.rng.standard_normal((self.n, count))
 
     def __call__(self, m, tau):
-        k = self.rank + _RANK_STEP
-        v = self.basis[:, :k]
+        k = self.rank + _OVERSAMPLE
+        v = self.basis
         if v.shape[1] < k:
             v = np.hstack([v, self._columns(k - v.shape[1])])
         y = m @ v
@@ -236,13 +246,18 @@ class _WarmSvt:
                 continue
             if res[:r].max(initial=0.0) <= _RESIDUAL_ULPS * k * eps * s[0] \
                     and s[r] + res[r] <= tau:
-                self.basis, self.rank = v, r
+                self._keep(v.T, r)
                 return _factors(u, s, v.T, tau)
         u, s, vt = np.linalg.svd(m, full_matrices=False)
         out = _factors(u, s, vt, tau)
-        self.rank = out[0].shape[1]
-        self.basis = vt[:self.rank + _RANK_STEP].T
+        self._keep(vt, out[0].shape[1])
         return out
+
+    def _keep(self, vt, rank):
+        """Keep the rank and, as the next call's block, the leading
+        rank + _OVERSAMPLE right vectors (rows of vt), C-ordered."""
+        self.rank = rank
+        self.basis = np.ascontiguousarray(vt[:rank + _OVERSAMPLE].T)
 
 
 def project_halfspace(x, a, level):

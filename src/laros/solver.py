@@ -15,8 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (_nuclear_prox, _signed_pairs, _soft_threshold,
-                     _support_svd, as_matrix, norm, project_halfspace,
-                     theta_norm)
+                     _support_svd, as_matrix, norm)
 
 
 # Entries per row block of the solver's fused consensus pass. Ten
@@ -233,14 +232,17 @@ def _check(a, theta, rho, xbar, v2):
     gain = float(np.vdot(a, x2))
     if gain <= 0.0 or not x2.any():
         # early iterates can threshold to zero; fall back to the projected
-        # average (feasible by construction) with a clipped multiplier
-        x2 = project_halfspace(xbar, a, 1.0)
+        # average (feasible by construction) with a clipped multiplier:
+        # project_halfspace(xbar, a, 1.0) without its checks
+        g = float(np.vdot(a, xbar))
+        x2 = xbar if g >= 1.0 else \
+            xbar + ((1.0 - g) / float(np.vdot(a, a))) * a
         gain = float(np.vdot(a, x2))
         g2 = np.clip(rho * (v2 - x2), -theta, theta)
     x_rep = x2 / gain
     fx = _support_svd(x_rep)
     nuc_rep = float(np.sum(fx[1]))
-    lam = nuc_rep + theta * norm(x_rep, "l1")  # ||x_rep||_theta
+    lam = nuc_rep + theta * float(np.abs(x_rep).sum())  # ||x_rep||_theta
     z = g2 / lam
     y = a - z
 
@@ -374,7 +376,8 @@ def solve(a, config):
         chk = _check(a, theta, rho, xbar, v[1])
         if config.track_history:
             # in the units of am: X scales by 2^-e and rho by 2^e
-            merit = (math.ldexp(theta_norm(xbar, theta), -e)
+            nuc = float(np.sum(_support_svd(xbar, compute_uv=False)))
+            merit = (math.ldexp(nuc + theta * float(np.abs(xbar).sum()), -e)
                      + math.ldexp(rho, e)
                      * max(0.0, 1.0 - float(np.vdot(a, xbar))))
             history.append({

@@ -369,8 +369,8 @@ class TestWarmSvt:
         low = spectrum_matrix(rng, *shape, [3.0])
         out_low = prox(low, 1.0)
         assert prox.rank == 1
-        # rank 12 exceeds the warm block (1 + _RANK_STEP): the block grows
-        # twice, and stays below min(m, n)/4
+        # rank 12 exceeds the warm block (1 + _OVERSAMPLE columns): the
+        # block grows twice, and stays below min(m, n)/4
         sigmas = np.linspace(8.0, 2.0, 12)
         high = spectrum_matrix(rng, *shape, sigmas)
         assert 1 + 2 * linalg._RANK_STEP < 12 < min(shape) / 4 \
@@ -380,6 +380,47 @@ class TestWarmSvt:
         close_to_svt(out_low, low, 1.0)
         close_to_svt(out_high, high, 1.0)
         assert prox.rank == 12
+
+    @pytest.mark.parametrize("shape", SHAPES + [(480, 480)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_new_direction_from_narrow_block(self, shape, seed, svd_shapes):
+        rng = np.random.default_rng(100 + seed)
+        prox = linalg._WarmSvt(shape)
+        first = spectrum_matrix(rng, *shape, [3.0])
+        prox(first, 1.0)
+        assert prox.rank == 1
+        # the cold call's block of _OVERSAMPLE columns is kept whole; the
+        # next call's block of 1 + _OVERSAMPLE adds one random column
+        basis = prox.basis
+        assert basis.shape[1] == linalg._OVERSAMPLE
+        # a direction the warm block does not contain on either side: v2
+        # orthogonal to the block, u2 to its image under the first matrix
+        v2 = rng.standard_normal(shape[1])
+        v2 -= basis @ (basis.T @ v2)
+        u2 = rng.standard_normal(shape[0])
+        image = np.linalg.qr(first @ basis)[0]
+        u2 -= image @ (image.T @ u2)
+        second = first + 5.0 * np.outer(u2 / np.linalg.norm(u2),
+                                        v2 / np.linalg.norm(v2))
+        out = prox(second, 1.0)
+        assert shape not in svd_shapes
+        assert prox.rank == 2
+        close_to_svt(out, second, 1.0)
+
+    def test_rank_jump_grows_by_rank_step(self, svd_shapes):
+        # from rank 1 to 30 the block grows 3, 8, ..., 33: six growth
+        # sweeps, within the sweep budget; growing by the two oversampling
+        # columns instead would need fourteen and fall back
+        shape = (480, 480)
+        rng = np.random.default_rng(37)
+        prox = linalg._WarmSvt(shape)
+        prox(spectrum_matrix(rng, *shape, [3.0]), 1.0)
+        assert prox.rank == 1
+        high = spectrum_matrix(rng, *shape, np.linspace(9.0, 3.0, 30))
+        out = prox(high, 1.0)
+        assert shape not in svd_shapes
+        assert prox.rank == 30
+        close_to_svt(out, high, 1.0)
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_tau_at_or_above_top_singular_value(self, shape):
@@ -409,7 +450,9 @@ class TestWarmSvt:
         assert svd_shapes[-1] == shape
         assert np.array_equal(left @ right, svt(a, 1.0))
         assert prox.rank == rank
-        assert prox.basis.shape == (shape[1], rank + linalg._RANK_STEP)
+        # the next call's block: rank + _OVERSAMPLE columns, C-ordered
+        assert prox.basis.shape == (shape[1], rank + linalg._OVERSAMPLE)
+        assert prox.basis.flags.c_contiguous
 
     def test_sweep_budget_falls_back(self, monkeypatch, svd_shapes):
         rng = np.random.default_rng(35)
