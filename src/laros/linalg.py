@@ -154,15 +154,23 @@ def _support_svd(m, compute_uv=True):
     return u, s, vt
 
 
-def _soft_threshold(m, tau, out=None, scratch=None):
-    """sgn(m) * max(|m| - tau, 0), into `out` if given, with |m| formed in
-    `scratch` if given; `m` is left intact. The ufuncs are the same either
-    way, so are the entries, signed zeros included."""
-    sgn = np.sign(m, out=out)
-    mag = np.abs(m, out=scratch)
+def _soft_threshold(m, tau):
+    """sgn(m) * max(|m| - tau, 0), signed zeros included."""
+    mag = np.abs(m)
     np.subtract(mag, tau, out=mag)
     np.maximum(mag, 0.0, out=mag)
-    return np.multiply(sgn, mag, out=sgn)
+    return np.multiply(np.sign(m), mag, out=mag)
+
+
+def _l1_prox(m, tau, out):
+    """The soft threshold of `m` written into `out` (not `m`) as
+    m - min(max(m, -tau), tau): three ufuncs against five, without the
+    slow np.sign (or np.clip's Python wrapper). The values equal
+    _soft_threshold's; a thresholded entry reads +0.0 whatever its sign.
+    `m` is left intact."""
+    np.maximum(m, -tau, out=out)
+    np.minimum(out, tau, out=out)
+    return np.subtract(m, out, out=out)
 
 
 # Below this min(m, n) a full SVD costs no more than the subspace iteration

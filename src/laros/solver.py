@@ -14,8 +14,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (_nuclear_prox, _signed_pairs, _soft_threshold,
-                     _support_svd, as_matrix, norm)
+from .linalg import (_l1_prox, _nuclear_prox, _signed_pairs,
+                     _soft_threshold, _support_svd, as_matrix, norm)
 
 
 # Entries per row block of the solver's fused consensus pass. Ten
@@ -208,7 +208,7 @@ class _Check(NamedTuple):
     lam: float                # ||x_rep||_theta
     y: np.ndarray
     z: np.ndarray
-    sy: np.ndarray            # singular values of y
+    sy: np.ndarray            # singular values of y, nonincreasing
     dual: float               # max{||Y||, ||Z||_inf/theta}
     residual: float           # max(balance, alignment), relative
 
@@ -239,14 +239,25 @@ def _check(a, theta, rho, xbar, v2):
             xbar + ((1.0 - g) / float(np.vdot(a, a))) * a
         gain = float(np.vdot(a, x2))
         g2 = np.clip(rho * (v2 - x2), -theta, theta)
+    # x2 and g2 are not read again. Dropping x2 and forming z in the
+    # memory of g2 leaves room for the Gram matrix below: the check holds
+    # no more m x n arrays than with an SVD of y.
     x_rep = x2 / gain
+    del x2
     fx = _support_svd(x_rep)
     nuc_rep = float(np.sum(fx[1]))
     lam = nuc_rep + theta * float(np.abs(x_rep).sum())  # ||x_rep||_theta
-    z = g2 / lam
+    z = np.divide(g2, lam, out=g2)
     y = a - z
 
-    sy = np.linalg.svd(y, compute_uv=False)
+    # sigma(Y) from the eigenvalues of the short-side Gram matrix, at about
+    # half the cost of a square SVD and far less for a wide or tall Y. Only
+    # sigma_1 and sigma_2 are read. sigma_1 comes to a few ulps; sigma_2 to
+    # about eps sigma_1^2 / sigma_2, so to a few ulps of sigma_1 near a tie
+    # (sigma_2 ~ sigma_1), the one place where the uniqueness test on the
+    # gap sigma_1 - sigma_2 reads it closely.
+    sy = np.sqrt(np.maximum(np.linalg.eigvalsh(
+        y @ y.T if y.shape[0] <= y.shape[1] else y.T @ y), 0.0))[::-1]
     ny = float(sy[0])
     nz = float(np.abs(z).max())
     d_z = nz / theta if theta > 0 else ny
@@ -263,12 +274,14 @@ def _dual_certificate(chk):
     l1 norms of the scaled solution x_rep / lam, so alpha + theta*beta = 1
     up to rounding."""
     sy = chk.sy
+    # before |Z| is formed, so that at most two m x n temporaries coexist
+    beta = float(np.abs(chk.x_rep / chk.lam).sum())
     zabs = np.abs(chk.z)
     zmax = float(zabs.max())
     ties = int(np.sum(zabs >= zmax * (1.0 - 1e-8))) if zmax > 0 else 0
     return DualCertificate(
         y=chk.y, z=chk.z, alpha=float(np.sum(chk.fx[1])) / chk.lam,
-        beta=norm(chk.x_rep / chk.lam, "l1"),
+        beta=beta,
         dual_norm=chk.dual, lambda_star=1.0 / chk.dual,
         spectral_gap=float(sy[0] - sy[1]) if sy.size > 1 else float(sy[0]),
         linf_argmax_count=ties)
@@ -331,33 +344,42 @@ def solve(a, config):
         # the nuclear copy x1 = left @ right, formed one row block at a time
         left, right = nuclear_prox(v[0], 1.0 / rho)
         lift = max(0.0, 1.0 - g) / nf2
+        # the stopping test is read only for the history, at a multiple of
+        # check_every and at max_iters; its sums are taken only then
+        tested = (config.track_history or k % config.check_every == 0
+                  or k == config.max_iters)
         # One pass over row blocks that stay in cache: the three copies
         # x1, x2, x3, their average xbar+, the next prox inputs
-        # v_i + (xbar+ - xbar) - (x_i - xbar+), and the sums behind the
-        # stopping test and the next halfspace step.
+        # v_i + (xbar+ - xbar) - (x_i - xbar+), <A, v3> for the next
+        # halfspace step and, when tested, the sums behind the stopping
+        # test.
         rr = ss = nn = g = 0.0
         for b, w, d in blocks:
             vb, xn = v[:, b], xnew[b]
             np.dot(left[b], right, out=w[0])
-            _soft_threshold(vb[1], tau_l1, out=w[1], scratch=d)
+            _l1_prox(vb[1], tau_l1, out=w[1])
             np.add(vb[2], np.multiply(lift, a[b], out=w[2]), out=w[2])
             np.add(w[0], w[1], out=xn)
             np.add(xn, w[2], out=xn)
-            np.divide(xn, 3.0, out=xn)
+            np.multiply(xn, 1.0 / 3.0, out=xn)
             np.subtract(w, xn, out=w)    # w_i = x_i - xbar+
-            rr += float(np.vdot(w, w))
             np.subtract(xn, xbar[b], out=d)
-            ss += float(np.vdot(d, d))
-            nn += float(np.vdot(xn, xn))
+            if tested:
+                rr += float(np.vdot(w, w))
+                ss += float(np.vdot(d, d))
+                nn += float(np.vdot(xn, xn))
             np.add(vb, np.subtract(d, w, out=w), out=vb)
             g += float(np.vdot(a[b], vb[2]))
         xbar, xnew = xnew, xbar
+        if not math.isfinite(g):
+            # the kernels do not validate; a non-finite prox output reaches
+            # every v_i through xbar+, and so g, even where A is zero
+            # (0 * NaN and 0 * inf are NaN)
+            raise ValueError(f"solver iterate is not finite at iteration {k}")
+        if not tested:
+            continue
         r = math.sqrt(rr / 3.0)
         s = math.sqrt(ss)
-        if not math.isfinite(s):
-            # the kernels do not validate; any non-finite prox output
-            # makes xbar+, and so s, non-finite
-            raise ValueError(f"solver iterate is not finite at iteration {k}")
         scale = max(math.sqrt(nn), 1e-300)
         r_rel = r / scale
         s_rel = s / scale

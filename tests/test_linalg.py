@@ -182,20 +182,20 @@ class TestSoftThreshold:
                 assert out[i, j] == pytest.approx(expected, abs=1e-12)
 
 
-    def test_scratch_keeps_input_and_bits(self):
-        # entries that threshold to -0.0 and +0.0, exact ties and zeros
-        # of both signs, next to random ones
-        tau = 0.3
+    def test_l1_prox_keeps_input_and_values(self):
+        # the solver's three-ufunc form: exact ties, zeros of both signs,
+        # extremes and subnormals next to random entries
         a = np.random.default_rng(5).standard_normal((6, 7))
-        a[0, :6] = [0.0, -0.0, tau, -tau, -0.1, 0.1]
+        a[0] = [0.3, -0.3, 0.0, -0.0, 1e308, -1e308, 5e-324]
+        a[1, :3] = [-5e-324, -0.1, 0.1]
         keep = a.copy()
-        out, scratch = np.empty_like(a), np.empty_like(a)
-        got = linalg._soft_threshold(a, tau, out=out, scratch=scratch)
-        assert got is out
-        assert np.array_equal(a.view(np.int64), keep.view(np.int64))
-        want = soft_threshold(keep, tau)
-        assert np.signbit(want[0, 4])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for tau in (0.3, 0.0, np.inf):
+            out = np.empty_like(a)
+            got = linalg._l1_prox(a, tau, out=out)
+            assert got is out
+            assert np.array_equal(a.view(np.int64), keep.view(np.int64))
+            # == compares the values: +0.0 equals -0.0
+            assert np.array_equal(got, soft_threshold(keep, tau))
 
 
 class TestProjectHalfspace:

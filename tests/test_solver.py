@@ -371,11 +371,22 @@ class TestNuclearProxPath:
         monkeypatch.setattr(solver_module, "_nuclear_prox", poisoned)
         # one nuclear prox per iteration, so the 29th call poisons
         # iteration 29; unstopped, the next full SVD would fail on the NaN
-        # with "SVD did not converge"
-        with pytest.raises(ValueError,
-                           match="solver iterate is not finite at "
-                                 "iteration 29"):
-            solve(two_block_matrix(), SolverConfig(theta=0.5))
+        # with "SVD did not converge". The guard reads <A, v3>: the NaN
+        # reaches it through xbar+, also where A is zero (row 0 of the
+        # third case), and with several row blocks and the subspace prox
+        # (the planted case).
+        demo = two_block_matrix()
+        row_zero = np.vstack([np.zeros((1, demo.shape[1])), demo])
+        planted, planted_config = planted_120x157()
+        assert planted.shape[0] > solver_module._BLOCK_ENTRIES \
+            // planted.shape[1]
+        for a, config in [(demo, SolverConfig(theta=0.5)),
+                          (planted, planted_config),
+                          (row_zero, SolverConfig(theta=0.5))]:
+            with pytest.raises(ValueError,
+                               match="solver iterate is not finite at "
+                                     "iteration 29"):
+                solve(a, config)
 
 
 def assert_same_solve(got, want):
@@ -385,6 +396,8 @@ def assert_same_solve(got, want):
     assert got.iterations == want.iterations
     assert got.converged == want.converged
     assert got.state.cert_residual == want.state.cert_residual
+    assert got.state.primal_residual == want.state.primal_residual
+    assert got.state.dual_residual == want.state.dual_residual
     np.testing.assert_array_equal(got.state.certificate.y,
                                   want.state.certificate.y)
     np.testing.assert_array_equal(got.state.certificate.z,
@@ -520,14 +533,20 @@ class TestExitPathSvds:
         a = plant_rank_one(model, seed=3).a
         config = SolverConfig(theta=1.0 / 80, tol_primal=1e-7, tol_dual=1e-7,
                               tol_gap=1e-7)
-        svds = []                 # (shape, compute_uv) of each SVD
-        svd_fn, check = np.linalg.svd, solver_module._check
+        svds = []                 # (kind, shape, compute_uv) of each call
+        svd_fn, eigvalsh_fn = np.linalg.svd, np.linalg.eigvalsh
+        check = solver_module._check
 
         def counting_svd(m, *args, **kwargs):
-            svds.append((np.shape(m), kwargs.get("compute_uv", True)))
+            svds.append(("svd", np.shape(m),
+                         kwargs.get("compute_uv", True)))
             return svd_fn(m, *args, **kwargs)
 
-        spans = []                # SVDs before and after a check
+        def counting_eigvalsh(m, *args, **kwargs):
+            svds.append(("eigvalsh", np.shape(m), False))
+            return eigvalsh_fn(m, *args, **kwargs)
+
+        spans = []                # calls before and after a check
 
         def counting_check(*args):
             before = len(svds)
@@ -536,6 +555,7 @@ class TestExitPathSvds:
             return out
 
         monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
         monkeypatch.setattr(solver_module, "_check", counting_check)
         sol = solve(a, config)
         assert sol.converged
@@ -543,10 +563,12 @@ class TestExitPathSvds:
         support = (int(np.count_nonzero(sol.x.any(axis=1))),
                    int(np.count_nonzero(sol.x.any(axis=0))))
         assert support[0] < a.shape[0] and support[1] < a.shape[1]
-        # sigma(Y) without vectors, x_rep with them on its nonzero rows and
-        # columns; nothing after the check
-        assert sorted(svds[before:after]) == sorted([(a.shape, False),
-                                                     (support, True)])
+        # sigma(Y) from the eigenvalues of its Gram matrix, the SVD of
+        # x_rep with vectors on its nonzero rows and columns; nothing after
+        # the check
+        short = min(a.shape)
+        assert sorted(svds[before:after]) == sorted([
+            ("eigvalsh", (short, short), False), ("svd", support, True)])
         assert len(svds) == after
 
 
