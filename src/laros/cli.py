@@ -45,16 +45,23 @@ def _emit(record, output):
         sys.stdout.write(text)
 
 
+# the defaults of the solver flags: SolverConfig's own
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
+
+
 def _solver_config(args, theta):
-    def tol(override):
-        return args.tol if override is None else override
+    def tol(name):
+        override = getattr(args, name)
+        if override is not None:
+            return override
+        return _CONFIG_DEFAULTS[name] if args.tol is None else args.tol
 
     return SolverConfig(theta=theta,
                         penalty=args.penalty,
                         max_iters=args.max_iters,
-                        tol_primal=tol(args.tol_primal),
-                        tol_dual=tol(args.tol_dual),
-                        tol_gap=tol(args.tol_gap),
+                        tol_primal=tol("tol_primal"),
+                        tol_dual=tol("tol_dual"),
+                        tol_gap=tol("tol_gap"),
                         support_tol=args.support_tol)
 
 
@@ -72,14 +79,17 @@ def _add_theta_flag(sub):
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--penalty", type=float, default=1.0)
-    sub.add_argument("--max-iters", type=int, default=50000)
-    sub.add_argument("--tol", type=float, default=1e-8,
+    sub.add_argument("--penalty", type=float,
+                     default=_CONFIG_DEFAULTS["penalty"])
+    sub.add_argument("--max-iters", type=int,
+                     default=_CONFIG_DEFAULTS["max_iters"])
+    sub.add_argument("--tol", type=float, default=None,
                      help="sets all three tolerances unless overridden")
     sub.add_argument("--tol-primal", type=float, default=None)
     sub.add_argument("--tol-dual", type=float, default=None)
     sub.add_argument("--tol-gap", type=float, default=None)
-    sub.add_argument("--support-tol", type=float, default=1e-6)
+    sub.add_argument("--support-tol", type=float,
+                     default=_CONFIG_DEFAULTS["support_tol"])
 
 
 def _add_io_flags(sub):

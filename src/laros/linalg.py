@@ -202,9 +202,13 @@ class _WarmSvt:
     subspace iteration (Halko-Martinsson-Tropp 2011) that finds only the
     singular triplets above tau, returned as factors (see _factors).
 
-    Each call starts from the previous call's right Ritz vectors, in a block
-    of k = previous rank + _OVERSAMPLE columns, kept C-ordered so that
-    every thin product m @ v takes BLAS's fast path. A sweep orthonormalizes
+    Each call starts from a block of k = previous rank + _OVERSAMPLE
+    columns, C-ordered so that every thin product m @ v takes BLAS's fast
+    path: the previous call's leading right Ritz vectors and, as its last
+    column, a fresh random one. The acceptance test below bounds only the
+    Ritz pairs inside the block, so without the fresh column a call whose
+    rank held steady could not see a new direction orthogonal to the
+    block on both sides. A sweep orthonormalizes
     Q = orth(m V), takes the Ritz triplets from the SVD of the small tall
     n x k matrix m^T Q (about twice as fast as that of the wide Q^T m), and
     measures each residual ||m v - s u|| (m^T u = s v holds by
@@ -233,9 +237,7 @@ class _WarmSvt:
 
     def __call__(self, m, tau):
         k = self.rank + _OVERSAMPLE
-        v = self.basis
-        if v.shape[1] < k:
-            v = np.hstack([v, self._columns(k - v.shape[1])])
+        v = np.hstack([self.basis, self._columns(k - self.basis.shape[1])])
         y = m @ v
         eps = np.finfo(float).eps
         for _ in range(_SWEEPS):
@@ -262,10 +264,11 @@ class _WarmSvt:
         return out
 
     def _keep(self, vt, rank):
-        """Keep the rank and, as the next call's block, the leading
-        rank + _OVERSAMPLE right vectors (rows of vt), C-ordered."""
+        """Keep the rank and, as the next call's block less its fresh
+        column, the leading rank + _OVERSAMPLE - 1 right vectors (rows of
+        vt), C-ordered."""
         self.rank = rank
-        self.basis = np.ascontiguousarray(vt[:rank + _OVERSAMPLE].T)
+        self.basis = np.ascontiguousarray(vt[:rank + _OVERSAMPLE - 1].T)
 
 
 def project_halfspace(x, a, level):

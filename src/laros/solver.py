@@ -1,10 +1,13 @@
 """Convex solver for the rank-one submatrix relaxation.
 
-Minimizes ||X||_* + theta*||X||_1 subject to <A, X> >= 1 by consensus
-splitting over three copies of X, one per term, each updated by its
-closed-form proximal map. Dual multipliers yield an optimality certificate
-(a decomposition A = Y + Z balancing the spectral and scaled-linf norms)
-that is checked at stopping time and exposed to callers.
+Minimizes ||X||_* + theta*||X||_1 subject to <A, X> >= 1 by relaxed
+Douglas-Rachford splitting of two operators: the nuclear norm, whose
+proximal map is singular value thresholding, and the l1 term together
+with the halfspace, whose proximal map is a soft threshold shifted along A
+by a multiplier found as the root of a piecewise-linear function. The l1
+multiplier yields an optimality certificate (a decomposition A = Y + Z
+balancing the spectral and scaled-linf norms) that is checked at stopping
+time and exposed to callers.
 """
 
 import math
@@ -18,10 +21,21 @@ from .linalg import (_l1_prox, _nuclear_prox, _signed_pairs,
                      _soft_threshold, _support_svd, as_matrix, norm)
 
 
-# Entries per row block of the solver's fused consensus pass. Ten
-# block-sized arrays are live in one block, 1.3 MB at 2^14 doubles: within
-# a 2 MB per-core L2 cache. The nuclear prox output adds only its factors.
+# Entries per row block of the solver's passes. A pass touches at most six
+# block-sized arrays, 0.8 MB at 2^14 doubles: within a 2 MB per-core L2
+# cache. The nuclear prox output adds only its factors.
 _BLOCK_ENTRIES = 2 ** 14
+# The root find of prox_g stops at |h - 1| <= _ROOT_TOL, at a repeated mu,
+# or after _ROOT_PASSES passes.
+_ROOT_TOL = 4 * np.finfo(float).eps
+_ROOT_PASSES = 64
+# Relaxation of the Douglas-Rachford step, z += _RELAX (x2 - x1), in
+# (0, 2) (Eckstein-Bertsekas 1992). Without it (1.0) the step leaves a
+# singular value of z that was above 1/rho exactly at 1/rho, so the dual
+# certificate Y ends with sigma_2 tied to sigma_1 and the uniqueness
+# diagnostic reads non-unique on problems whose optimal dual set has
+# untied points; the overshoot of 1.3 lands strictly below the threshold.
+_RELAX = 1.3
 
 
 class ConvergenceError(RuntimeError):
@@ -35,10 +49,13 @@ class CertificateUnavailableError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     theta: float
-    penalty: float = 1.0          # splitting penalty, rescaled by ||A||_F
+    # rho = penalty*||A||_F; the nuclear prox thresholds at 1/rho. 1.5
+    # rather than 1.0: on held-out biclique draws 1.0 lost certificates
+    # that 1.5 keeps (README)
+    penalty: float = 1.5
     max_iters: int = 50000
-    tol_primal: float = 1e-8      # copy disagreement, relative
-    tol_dual: float = 1e-8        # consensus drift per iteration, relative
+    tol_primal: float = 1e-8      # ||x1 - x2|| / ||x2||
+    tol_dual: float = 1e-8        # drift of x2 per iteration, relative
     tol_gap: float = 1e-8         # certificate residual, relative
     support_tol: float = 1e-6     # support cutoff relative to ||X||_inf
     # the certificate is checked at every multiple of check_every where the
@@ -102,8 +119,8 @@ class SolverState:
     cert_residual: float
     certificate: DualCertificate
     history: list = field(default_factory=list)
-    # ||T(v) - v|| of each iteration, v the stacked prox inputs (with
-    # track_history)
+    # ||z+ - z|| of each iteration, the step of the Douglas-Rachford
+    # state, _RELAX ||x2 - x1||, nonincreasing (with track_history)
     fp_residuals: list = field(default_factory=list)
 
 
@@ -222,7 +239,7 @@ def _check(a, theta, rho, xbar, v2):
     """Certificate A = Y + Z at the current iterate and its residual.
 
     The l1-side multiplier G2 = rho*(v2 - prox(v2)) is an exact subgradient
-    of theta*||.||_1 at the thresholded copy, so Z = G2/objective satisfies
+    of theta*||.||_1 at the thresholded point, so Z = G2/objective satisfies
     its norm bound and alignment exactly; all convergence error lands in Y.
     The SVD of the candidate, with vectors and taken on its support, also
     serves the certificate's alpha and the solution's rank-one parts.
@@ -231,8 +248,8 @@ def _check(a, theta, rho, xbar, v2):
     g2 = rho * (v2 - x2)
     gain = float(np.vdot(a, x2))
     if gain <= 0.0 or not x2.any():
-        # early iterates can threshold to zero; fall back to the projected
-        # average (feasible by construction) with a clipped multiplier:
+        # early iterates can threshold to zero; fall back to xbar
+        # projected onto the halfspace, with a clipped multiplier:
         # project_halfspace(xbar, a, 1.0) without its checks
         g = float(np.vdot(a, xbar))
         x2 = xbar if g >= 1.0 else \
@@ -287,16 +304,107 @@ def _dual_certificate(chk):
         linf_argmax_count=ties)
 
 
+class _GProx:
+    """prox_g for g(X) = theta*||X||_1 + indicator{<A, X> >= 1} at penalty
+    rho, over row blocks of A that stay in cache.
+
+    prox_g(w) = soft(w + mu A, t) with t = theta/rho, where mu >= 0 is the
+    root of h(mu) = <A, soft(w + mu A, t)> = 1, and mu = 0 when
+    h(0) >= 1. h is nondecreasing and piecewise linear in mu, with slope
+    the sum of A_ij^2 over the entries above the threshold, so a Newton
+    step with the slope of the current piece is exact unless an entry
+    crosses its threshold. The slope is not summed: each root find starts
+    from the previous iteration's mu and the secant slope of its last two
+    passes, which is exact while the active set holds; later steps take
+    the secant of their own last two passes and bisect where a step
+    leaves the bracket. A pass writes soft(w + mu A, t) into x2 and adds
+    _RELAX times it to the state, and the next pass takes that back out,
+    so a pass that misses the root costs only its own time.
+    """
+
+    def __init__(self, a, t):
+        m, n = a.shape
+        rows = min(m, max(1, _BLOCK_ENTRIES // n))
+        self.a, self.t = a, t
+        self.blocks = []               # (rows, scratch, scratch)
+        buf = np.empty((2, rows, n))
+        for i in range(0, m, rows):
+            end = min(i + rows, m)
+            self.blocks.append((slice(i, end), buf[0, :end - i],
+                                buf[1, :end - i]))
+        self.mu = 0.0
+        # the largest slope h can have, so the first step stays below
+        # the root
+        self.slope = float(np.vdot(a, a))
+
+    def h(self, b, w, mu, s, out):
+        """soft(w + mu A, t) of row block b into out, and its share of
+        h(mu); s is scratch."""
+        ab = self.a[b]
+        if mu:
+            w = np.add(w, np.multiply(ab, mu, out=s), out=s)
+        _l1_prox(w, self.t, out=out)
+        return float(np.vdot(ab, out))
+
+    def _pass(self, w, x2, z, mu, undo):
+        """x2 = soft(w + mu A, t), with _RELAX x2 added to z after taking
+        out that of the previous pass (with undo); returns h(mu)."""
+        h = 0.0
+        for b, s, _ in self.blocks:
+            xb, zb = x2[b], z[b]
+            if undo:
+                np.subtract(zb, np.multiply(xb, _RELAX, out=s), out=zb)
+            h += self.h(b, w[b], mu, s, xb)
+            np.add(zb, np.multiply(xb, _RELAX, out=s), out=zb)
+        return h
+
+    def __call__(self, w, x2, z, h):
+        """Writes prox_g(w) into x2 and adds _RELAX times it to z, given
+        h(self.mu), and moves self.mu to the root."""
+        mu, slope = self.mu, self.slope
+        lo, hi = 0.0, math.inf         # h(lo) < 1 <= h(hi) once evaluated
+        at_lo = written = False
+        for _ in range(_ROOT_PASSES):
+            if h < 1.0:
+                lo, at_lo = mu, True
+            else:
+                hi = mu
+            if abs(h - 1.0) <= _ROOT_TOL or (mu == 0.0 and h >= 1.0):
+                nxt = mu
+            else:
+                nxt = max(mu + (1.0 - h) / slope, 0.0)
+                if nxt != mu and not (lo < nxt < hi
+                                      or (nxt == 0.0 and not at_lo)):
+                    # the step left the bracket, so hi is finite: bisect,
+                    # unless no float lies between the ends
+                    nxt = 0.5 * (lo + hi)
+                    if nxt in (lo, hi):
+                        nxt = mu
+            if nxt == mu and written:
+                break
+            h_next = self._pass(w, x2, z, nxt, written)
+            written = True
+            if nxt != mu:
+                step = (h_next - h) / (nxt - mu)
+                # on a flat piece, double the next step
+                slope = step if step > 0.0 else 0.5 * slope
+            mu, h = nxt, h_next
+        self.mu, self.slope = mu, slope
+
+
 def solve(a, config):
     """Minimize ||X||_* + theta*||X||_1 subject to <a, X> >= 1.
 
-    Three-copy consensus splitting: nuclear prox (singular value
-    thresholding), l1 prox (soft thresholding), and halfspace projection,
-    iterated on the three prox inputs. Stops when copy disagreement,
-    consensus drift, the certificate residual and the certified gap all
-    fall below the configured tolerances. On non-convergence the final
-    iterate is returned with converged=False. Either way the dual
-    certificate is the one checked at the final iterate.
+    Relaxed Douglas-Rachford splitting of two operators, f = ||X||_* and
+    g = theta*||X||_1 + indicator{<a, X> >= 1}, on one state z:
+    x1 = prox_f(z) by singular value thresholding, w = 2 x1 - z,
+    x2 = prox_g(w) by a soft threshold whose halfspace multiplier is found
+    by a one-dimensional root find (_GProx), and z += _RELAX (x2 - x1).
+    Stops when ||x1 - x2||, the drift of x2, the certificate residual and
+    the certified gap all fall below the configured tolerances. On
+    non-convergence the final iterate is returned with converged=False.
+    Either way the dual certificate is the one checked at the final
+    iterate.
 
     The problem is homogeneous in a: the splitting runs on a / 2^e, with e
     chosen so that ||a / 2^e||_inf lies in [0.5, 1), where ||a||_F^2 and
@@ -312,28 +420,16 @@ def solve(a, config):
     # every work array is C-ordered whatever the layout of the input, so
     # the results are too
     a = np.ascontiguousarray(np.ldexp(am, -e))
-    m, n = a.shape
     nf = float(np.linalg.norm(a))
-    nf2 = nf * nf
     rho = config.penalty * nf
-    tau_l1 = theta / rho
     nuclear_prox = _nuclear_prox(a.shape)
+    prox_g = _GProx(a, theta / rho)
+    blocks = prox_g.blocks
 
-    # The state is the three prox inputs v_i = xbar - u_i. The multipliers
-    # u_i start at zero and each update adds x_i - mean(x), so they sum to
-    # zero and need not be kept.
-    xbar = a / nf2
-    xnew = np.empty_like(a)
-    v = np.stack([xbar] * 3)
-    g = float(np.vdot(a, xbar))        # <a, v3>
-    rows = min(m, max(1, _BLOCK_ENTRIES // n))
-    w_buf = np.empty((3 * rows, n))
-    d_buf = np.empty((rows, n))
-    blocks = []                        # (rows, 3-copy scratch, scratch)
-    for i in range(0, m, rows):
-        h = min(rows, m - i)
-        blocks.append((slice(i, i + h), w_buf[:3 * h].reshape(3, h, n),
-                       d_buf[:h]))
+    # the state z and, for the drift of x2, the last two x2
+    z = a / (nf * nf)
+    w = np.empty_like(a)
+    x2, x2_prev = np.zeros_like(a), np.zeros_like(a)
 
     history = []
     fp_residuals = []
@@ -341,53 +437,47 @@ def solve(a, config):
     # the loop always checks at k == max_iters and stops only right after
     # a passing check, so the last check is always of the final iterate
     for k in range(1, config.max_iters + 1):
-        # the nuclear copy x1 = left @ right, formed one row block at a time
-        left, right = nuclear_prox(v[0], 1.0 / rho)
-        lift = max(0.0, 1.0 - g) / nf2
+        left, right = nuclear_prox(z, 1.0 / rho)
+        x2, x2_prev = x2_prev, x2
+        # per row block: x1 = left @ right, w = 2 x1 - z, z -= _RELAX x1,
+        # and h at the previous root, the first value of the root find
+        h = 0.0
+        for b, s, x1 in blocks:
+            zb, wb = z[b], w[b]
+            np.dot(left[b], right, out=x1)
+            np.subtract(zb, x1, out=zb)
+            np.subtract(x1, zb, out=wb)
+            np.subtract(zb, np.multiply(x1, _RELAX - 1.0, out=x1), out=zb)
+            h += prox_g.h(b, wb, prox_g.mu, s, x1)
+        if not math.isfinite(h):
+            # the kernels do not validate; a non-finite entry of x1 reaches
+            # h through w, also where A is zero (0 * NaN and 0 * inf are
+            # NaN)
+            raise ValueError(f"solver iterate is not finite at iteration {k}")
+        prox_g(w, x2, z, h)
         # the stopping test is read only for the history, at a multiple of
         # check_every and at max_iters; its sums are taken only then
-        tested = (config.track_history or k % config.check_every == 0
-                  or k == config.max_iters)
-        # One pass over row blocks that stay in cache: the three copies
-        # x1, x2, x3, their average xbar+, the next prox inputs
-        # v_i + (xbar+ - xbar) - (x_i - xbar+), <A, v3> for the next
-        # halfspace step and, when tested, the sums behind the stopping
-        # test.
-        rr = ss = nn = g = 0.0
-        for b, w, d in blocks:
-            vb, xn = v[:, b], xnew[b]
-            np.dot(left[b], right, out=w[0])
-            _l1_prox(vb[1], tau_l1, out=w[1])
-            np.add(vb[2], np.multiply(lift, a[b], out=w[2]), out=w[2])
-            np.add(w[0], w[1], out=xn)
-            np.add(xn, w[2], out=xn)
-            np.multiply(xn, 1.0 / 3.0, out=xn)
-            np.subtract(w, xn, out=w)    # w_i = x_i - xbar+
-            np.subtract(xn, xbar[b], out=d)
-            if tested:
-                rr += float(np.vdot(w, w))
-                ss += float(np.vdot(d, d))
-                nn += float(np.vdot(xn, xn))
-            np.add(vb, np.subtract(d, w, out=w), out=vb)
-            g += float(np.vdot(a[b], vb[2]))
-        xbar, xnew = xnew, xbar
-        if not math.isfinite(g):
-            # the kernels do not validate; a non-finite prox output reaches
-            # every v_i through xbar+, and so g, even where A is zero
-            # (0 * NaN and 0 * inf are NaN)
-            raise ValueError(f"solver iterate is not finite at iteration {k}")
-        if not tested:
+        if not (config.track_history or k % config.check_every == 0
+                or k == config.max_iters):
             continue
-        r = math.sqrt(rr / 3.0)
-        s = math.sqrt(ss)
+        # x1 formed again as in the first pass, so that x2 - x1 is not
+        # read off z, where it would cancel against z's larger entries
+        rr = ss = nn = 0.0
+        for b, s, x1 in blocks:
+            xb = x2[b]
+            np.subtract(xb, np.dot(left[b], right, out=x1), out=s)
+            rr += float(np.vdot(s, s))
+            np.subtract(xb, x2_prev[b], out=s)
+            ss += float(np.vdot(s, s))
+            nn += float(np.vdot(xb, xb))
+        r = math.sqrt(rr)
         scale = max(math.sqrt(nn), 1e-300)
         r_rel = r / scale
-        s_rel = s / scale
+        s_rel = math.sqrt(ss) / scale
         if config.track_history:
-            # ||T(v) - v||, the drift of the prox inputs: the governing
-            # sequence of the splitting, guaranteed nonincreasing. Its
-            # square is rr + 3 ss, as the x_i - xbar+ sum to zero.
-            fp_residuals.append(math.ldexp(math.sqrt(rr + 3.0 * ss), -e))
+            # ||z+ - z|| = _RELAX ||x2 - x1||, the step of the state:
+            # nonincreasing under relaxed Douglas-Rachford
+            fp_residuals.append(math.ldexp(_RELAX * r, -e))
 
         # convergence needs all four tests, so a check whose residuals
         # fail cannot stop the solve: it runs only for the history
@@ -395,13 +485,17 @@ def solve(a, config):
         if k != config.max_iters and (k % config.check_every or not (
                 can_stop or config.track_history)):
             continue
-        chk = _check(a, theta, rho, xbar, v[1])
+        # the l1 prox input w + mu A, in place: the next iteration forms
+        # w anew
+        for b, s, _ in blocks:
+            np.add(w[b], np.multiply(a[b], prox_g.mu, out=s), out=w[b])
+        chk = _check(a, theta, rho, x2, w)
         if config.track_history:
             # in the units of am: X scales by 2^-e and rho by 2^e
-            nuc = float(np.sum(_support_svd(xbar, compute_uv=False)))
-            merit = (math.ldexp(nuc + theta * float(np.abs(xbar).sum()), -e)
+            nuc = float(np.sum(_support_svd(x2, compute_uv=False)))
+            merit = (math.ldexp(nuc + theta * float(np.abs(x2).sum()), -e)
                      + math.ldexp(rho, e)
-                     * max(0.0, 1.0 - float(np.vdot(a, xbar))))
+                     * max(0.0, 1.0 - float(np.vdot(a, x2))))
             history.append({
                 "iteration": k,
                 "merit": merit,

@@ -11,6 +11,8 @@ Lipschitz margin of the stage minimum, so the true minimizer never
 escapes and the final value carries an explicit error bound.
 """
 
+import math
+
 import numpy as np
 
 
@@ -169,28 +171,70 @@ def dual_norm_oracle(a, theta, target=5e-4, max_stages=40):
     return best, err
 
 
-def splitting_residuals(a, theta, penalty, iterations):
-    """The three-copy consensus splitting of `solve` in multiplier form, on
-    whole arrays with a full SVD: per iteration, the relative primal and
-    dual residuals and the drift of the stacked prox inputs xbar - u_i."""
+def l1_halfspace_prox(w, a, t):
+    """(mu, x) with x = soft(w + mu a, t) the point of {<a, X> >= 1}
+    nearest to w in t*||.||_1 + 0.5*||. - w||_F^2, by sorting the
+    breakpoints of h(mu) = <a, soft(w + mu a, t)>.
+
+    h is piecewise linear and nondecreasing, with its breakpoints where an
+    entry meets the threshold: mu = (+-t - w_ij) / a_ij. mu = 0 when
+    h(0) >= 1; otherwise mu solves h(mu) = 1 on the piece between the two
+    sorted breakpoints that bracket the root, located by bisection over
+    the sorted list, with each h an exactly rounded sum (math.fsum).
+    """
+    w = np.asarray(w, dtype=float)
+    a = np.asarray(a, dtype=float)
+
+    def soft(mu):
+        v = w + mu * a
+        return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+    def h(mu):
+        return math.fsum((a * soft(mu)).ravel())
+
+    if h(0.0) >= 1.0:
+        return 0.0, soft(0.0)
+    on = a != 0
+    points = np.concatenate([(t - w[on]) / a[on], (-t - w[on]) / a[on]])
+    points = np.unique(points[points > 0.0])
+    lo, hi = 0, points.size          # h(points[lo - 1]) < 1, or lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if h(points[mid]) < 1.0:
+            lo = mid + 1
+        else:
+            hi = mid
+    left = points[lo - 1] if lo else 0.0
+    h_left = h(left)
+    if lo < points.size:
+        right = points[lo]
+        slope = (h(right) - h_left) / (right - left)
+    else:
+        # beyond the last breakpoint every entry with a_ij != 0 is active
+        slope = math.fsum((a[on] ** 2).ravel())
+    mu = left + (1.0 - h_left) / slope
+    return mu, soft(mu)
+
+
+def dr2_residuals(a, theta, penalty, relax, iterations):
+    """The relaxed Douglas-Rachford iteration of `solve` on whole arrays,
+    with a full SVD and the sort-based l1_halfspace_prox: per iteration,
+    the relative primal residual ||x1 - x2|| / ||x2||, the relative dual
+    residual ||x2+ - x2|| / ||x2+|| and the step ||z+ - z||."""
     a = np.asarray(a, dtype=float)
     nf2 = float(np.vdot(a, a))
     rho = penalty * np.sqrt(nf2)
-    xbar = a / nf2
-    u = np.zeros((3,) + a.shape)
+    z = a / nf2
+    x2 = np.zeros_like(a)
     out = []
     for _ in range(iterations):
-        v = xbar - u
-        left, s, vt = np.linalg.svd(v[0], full_matrices=False)
+        left, s, vt = np.linalg.svd(z, full_matrices=False)
         x1 = (left * np.maximum(s - 1.0 / rho, 0.0)) @ vt
-        x2 = np.sign(v[1]) * np.maximum(np.abs(v[1]) - theta / rho, 0.0)
-        x3 = v[2] + max(0.0, 1.0 - float(np.vdot(a, v[2]))) / nf2 * a
-        x = np.stack([x1, x2, x3])
-        xnew = x.mean(axis=0)
-        u += x - xnew
-        scale = np.linalg.norm(xnew)
-        out.append((np.linalg.norm(x - xnew) / np.sqrt(3.0) / scale,
-                    np.linalg.norm(xnew - xbar) / scale,
-                    np.linalg.norm((xnew - u) - v)))
-        xbar = xnew
+        _, x2_next = l1_halfspace_prox(2.0 * x1 - z, a, theta / rho)
+        scale = np.linalg.norm(x2_next)
+        diff = np.linalg.norm(x2_next - x1)
+        out.append((diff / scale, np.linalg.norm(x2_next - x2) / scale,
+                    relax * diff))
+        z = z + relax * (x2_next - x1)
+        x2 = x2_next
     return out

@@ -2,6 +2,7 @@
 
 import json
 import re
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from laros.cli import main
 from laros.generate import two_block_matrix
 from laros.mmio import parse_matrix, write_matrix
+from laros.solver import SolverConfig
 
 
 def run(args):
@@ -316,6 +318,25 @@ class TestBicliqueCommand:
 
 
 class TestManifest:
+    def test_flagless_runs_record_the_config_defaults(self, demo_matrix,
+                                                      tmp_path):
+        runs = {
+            "solve": ["--input", demo_matrix, "--theta", "0.5"],
+            "nmf": ["--input", demo_matrix, "--theta", "0.5",
+                    "--features", "1", "--w-output", str(tmp_path / "w.mtx"),
+                    "--h-output", str(tmp_path / "h.mtx")],
+            "biclique": ["--m", "20", "--n", "20", "--M", "6", "--N", "6"],
+        }
+        for command, args in runs.items():
+            out = tmp_path / f"{command}.json"
+            assert run([command] + args + ["--output", str(out)]) == 0
+            params = load(out)["manifest"]["parameters"]
+            # the settings with a flag (nmf records --theta as given)
+            want = asdict(SolverConfig(theta=float(params["theta"])))
+            for name in ("theta", "check_every", "track_history"):
+                del want[name]
+            assert {k: params[k] for k in want} == want, command
+
     def test_records_the_solver_settings_that_ran(self, demo_matrix,
                                                   tmp_path):
         flags = ["--penalty", "2", "--max-iters", "3000", "--tol", "1e-6",

@@ -389,12 +389,37 @@ class TestWarmSvt:
         first = spectrum_matrix(rng, *shape, [3.0])
         prox(first, 1.0)
         assert prox.rank == 1
-        # the cold call's block of _OVERSAMPLE columns is kept whole; the
-        # next call's block of 1 + _OVERSAMPLE adds one random column
+        # the cold call keeps rank + _OVERSAMPLE - 1 vectors; the next
+        # call's block of 1 + _OVERSAMPLE adds one random column
         basis = prox.basis
         assert basis.shape[1] == linalg._OVERSAMPLE
         # a direction the warm block does not contain on either side: v2
         # orthogonal to the block, u2 to its image under the first matrix
+        v2 = rng.standard_normal(shape[1])
+        v2 -= basis @ (basis.T @ v2)
+        u2 = rng.standard_normal(shape[0])
+        image = np.linalg.qr(first @ basis)[0]
+        u2 -= image @ (image.T @ u2)
+        second = first + 5.0 * np.outer(u2 / np.linalg.norm(u2),
+                                        v2 / np.linalg.norm(v2))
+        out = prox(second, 1.0)
+        assert shape not in svd_shapes
+        assert prox.rank == 2
+        close_to_svt(out, second, 1.0)
+
+    @pytest.mark.parametrize("shape", SHAPES + [(480, 480)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_new_direction_at_steady_rank(self, shape, seed, svd_shapes):
+        rng = np.random.default_rng(110 + seed)
+        prox = linalg._WarmSvt(shape)
+        first = spectrum_matrix(rng, *shape, [3.0])
+        prox(first, 1.0)
+        prox(first, 1.0)
+        assert prox.rank == 1
+        # the rank held, so the next block is the kept vectors plus its
+        # fresh column; the new direction is orthogonal to the kept
+        # vectors, and to their image under the first matrix
+        basis = prox.basis
         v2 = rng.standard_normal(shape[1])
         v2 -= basis @ (basis.T @ v2)
         u2 = rng.standard_normal(shape[0])
@@ -450,8 +475,9 @@ class TestWarmSvt:
         assert svd_shapes[-1] == shape
         assert np.array_equal(left @ right, svt(a, 1.0))
         assert prox.rank == rank
-        # the next call's block: rank + _OVERSAMPLE columns, C-ordered
-        assert prox.basis.shape == (shape[1], rank + linalg._OVERSAMPLE)
+        # the next call's block less its fresh column: rank +
+        # _OVERSAMPLE - 1 columns, C-ordered
+        assert prox.basis.shape == (shape[1], rank + linalg._OVERSAMPLE - 1)
         assert prox.basis.flags.c_contiguous
 
     def test_sweep_budget_falls_back(self, monkeypatch, svd_shapes):

@@ -9,13 +9,14 @@ import pytest
 
 from laros import linalg
 from laros import solver as solver_module
-from laros.generate import PlantedModel, plant_rank_one, two_block_matrix
+from laros.generate import (PlantedModel, plant_biclique, plant_rank_one,
+                            two_block_matrix)
 from laros.linalg import norm, svd, theta_norm
 from laros.solver import (CertificateUnavailableError, DualCertificate,
                           SolverConfig, check_optimality, dual_theta_norm,
                           extract_rank_one, recover_dual, solve)
 
-from oracles import dual_norm_oracle, splitting_residuals
+from oracles import dr2_residuals, dual_norm_oracle, l1_halfspace_prox
 
 
 def tight(theta, **kw):
@@ -371,13 +372,16 @@ class TestNuclearProxPath:
         monkeypatch.setattr(solver_module, "_nuclear_prox", poisoned)
         # one nuclear prox per iteration, so the 29th call poisons
         # iteration 29; unstopped, the next full SVD would fail on the NaN
-        # with "SVD did not converge". The guard reads <A, v3>: the NaN
-        # reaches it through xbar+, also where A is zero (row 0 of the
-        # third case), and with several row blocks and the subspace prox
-        # (the planted case).
+        # with "SVD did not converge". The guard reads h(mu) of the first
+        # pass: the NaN reaches it through w, also where A is zero (row 0
+        # of the third case), and with several row blocks and the
+        # subspace prox (the planted case, whose tighter tolerance keeps
+        # it running past its certificate at iteration 25).
         demo = two_block_matrix()
         row_zero = np.vstack([np.zeros((1, demo.shape[1])), demo])
         planted, planted_config = planted_120x157()
+        assert solve(planted, planted_config).iterations < 29
+        planted_config = replace(planted_config, tol_primal=1e-10)
         assert planted.shape[0] > solver_module._BLOCK_ENTRIES \
             // planted.shape[1]
         for a, config in [(demo, SolverConfig(theta=0.5)),
@@ -491,15 +495,20 @@ class TestInputScale:
 
 
 class TestSplittingReference:
-    """The prox inputs as the state run the multiplier-form splitting: the
-    residuals match a whole-array reference to rounding. Sixty iterations
-    keep them far above the level where rounding differences dominate."""
+    """The blocked Douglas-Rachford iteration matches a whole-array
+    reference with a full SVD and a sort-based prox_g over all sixty
+    iterations. The solver runs with the full-SVD prox on every shape, so
+    that both sides take the same SVD. The sides then differ by rounding of
+    the state, about 1e-15 of the first step in every case: each residual
+    matches to rtol 1e-9 or to 1e-12 of its first value, the second only
+    where the planted case has converged to rounding (past iteration 20)
+    and signed_8x3 nearly so."""
 
     @pytest.mark.parametrize("case", ["two_block", "random_5x7",
                                       "signed_8x3", "planted_90x100"])
-    def test_matches_multiplier_form(self, case):
+    def test_matches_multiplier_form(self, case, monkeypatch):
         rng = np.random.default_rng(21)
-        penalty = 1.0
+        penalty = 1.5
         if case == "two_block":
             a, theta = two_block_matrix(), 0.5
         elif case == "random_5x7":
@@ -511,19 +520,26 @@ class TestSplittingReference:
                                  noise_family="uniform")
             a, theta = plant_rank_one(model, seed=2).a, 1.0 / 30
             assert min(a.shape) >= linalg._PARTIAL_SVT_MIN_DIM
+        monkeypatch.setattr(solver_module, "_nuclear_prox",
+                            lambda shape: linalg._svt)
+        # tolerances no solve meets: all 60 iterations run
         config = SolverConfig(theta=theta, penalty=penalty, max_iters=60,
-                              check_every=5, track_history=True)
+                              tol_primal=1e-300, check_every=5,
+                              track_history=True)
         sol = solve(a, config)
         assert sol.iterations == 60
-        ref = splitting_residuals(a, theta, penalty, 60)
-        np.testing.assert_allclose(sol.state.fp_residuals,
-                                   [r[2] for r in ref], rtol=1e-9, atol=0)
+        ref = dr2_residuals(a, theta, penalty, solver_module._RELAX, 60)
+        steps = [r[2] for r in ref]
+        np.testing.assert_allclose(sol.state.fp_residuals, steps,
+                                   rtol=1e-9, atol=1e-12 * steps[0])
         history = sol.state.history
         assert [h["iteration"] for h in history] == list(range(5, 61, 5))
         for h in history:
             primal, dual, _ = ref[h["iteration"] - 1]
-            assert h["primal_residual"] == pytest.approx(primal, rel=1e-9)
-            assert h["dual_residual"] == pytest.approx(dual, rel=1e-9)
+            assert h["primal_residual"] == pytest.approx(
+                primal, rel=1e-9, abs=1e-12 * ref[0][0])
+            assert h["dual_residual"] == pytest.approx(
+                dual, rel=1e-9, abs=1e-12 * ref[0][1])
 
 
 class TestExitPathSvds:
@@ -578,7 +594,7 @@ class TestGapStop:
 
     def test_residual_alone_does_not_stop(self, monkeypatch):
         config = SolverConfig(theta=0.5, max_iters=1500)
-        assert solve(two_block_matrix(), config).iterations == 1025
+        assert solve(two_block_matrix(), config).iterations == 350
         check = solver_module._check
 
         def gapped(*args):
@@ -590,3 +606,119 @@ class TestGapStop:
         sol = solve(two_block_matrix(), config)
         assert not sol.converged and sol.iterations == 1500
         assert sol.gap == pytest.approx(1.0)
+
+
+def blocked_prox(prox, w):
+    """The solver's prox_g of `w`: h at prox.mu summed over the row blocks
+    as the solver's first pass sums it, then the root find, which adds
+    _RELAX prox_g(w) to a state z. Returns (mu, x2, z / _RELAX), the last
+    being x2 again if every pass but the last was taken back out."""
+    h = sum(prox.h(b, w[b], prox.mu, s, out) for b, s, out in prox.blocks)
+    x2, z = np.empty_like(w), np.zeros_like(w)
+    prox(w, x2, z, h)
+    return prox.mu, x2, z / solver_module._RELAX
+
+
+class TestL1HalfspaceProx:
+    """The solver's prox of theta*||.||_1 + indicator{<A, .> >= 1} (a
+    Newton and secant root find over row blocks) against the sort-based
+    oracle, cold (mu = 0, the largest slope) and warm (the previous root
+    and secant slope, as in the next iteration)."""
+
+    def check(self, a, w, t, prox=None):
+        prox = prox or solver_module._GProx(a, t)
+        mu, x2, added = blocked_prox(prox, w)
+        mu_ref, x2_ref = l1_halfspace_prox(w, a, t)
+        assert mu == pytest.approx(mu_ref, rel=1e-14, abs=0)
+        scale = np.abs(x2_ref).max()
+        np.testing.assert_allclose(x2, x2_ref, rtol=0, atol=1e-14 * scale)
+        # z holds x2 once; each pass taken back out leaves rounding of its
+        # own size, and a cold root find may overshoot by 100x
+        np.testing.assert_allclose(
+            added, x2, rtol=0,
+            atol=1e-13 * max(np.abs(w).max(), np.abs(x2).max()))
+        if mu > 0:
+            # the constraint holds with equality, to a few ulps
+            assert abs(math.fsum((a * x2).ravel()) - 1.0) \
+                <= 4 * np.finfo(float).eps
+        return prox
+
+    def test_root_at_zero(self):
+        rng = np.random.default_rng(50)
+        a = rng.random((6, 5))
+        t = 0.1
+        # soft(w, t) = 2 a / ||a||^2 where a > 0: h(0) = 2 >= 1
+        w = 2.0 * a / float(np.vdot(a, a)) + t
+        prox = solver_module._GProx(a, t)
+        mu, x2, _ = blocked_prox(prox, w)
+        assert mu == 0.0
+        assert np.array_equal(x2, linalg.soft_threshold(w, t))
+        self.check(a, w, t)
+
+    def test_signed_a(self):
+        rng = np.random.default_rng(51)
+        a = rng.standard_normal((7, 9))
+        w = 0.1 * rng.standard_normal((7, 9))
+        prox = self.check(a, w, 0.05)
+        assert prox.mu > 0
+        self.check(a, w + 1e-3 * rng.standard_normal(w.shape), 0.05, prox)
+
+    def test_zero_rows(self):
+        rng = np.random.default_rng(52)
+        a = rng.random((8, 6))
+        a[[0, 3]] = 0.0
+        w = 0.1 * rng.standard_normal((8, 6))
+        prox = self.check(a, w, 0.05)
+        # where A is zero, x2 is the soft threshold of w whatever mu is
+        _, x2, _ = blocked_prox(solver_module._GProx(a, 0.05), w)
+        assert np.array_equal(x2[[0, 3]],
+                              linalg.soft_threshold(w[[0, 3]], 0.05))
+        self.check(a, w + 1e-3 * rng.standard_normal(w.shape), 0.05, prox)
+
+    def test_root_at_a_breakpoint(self):
+        # h(mu) = 0.25 + 3 mu: the root 0.25 is where w + mu A meets +t at
+        # (0, 1) and -t at (1, 1); every step is exact in binary
+        a = np.ones((2, 2))
+        w = np.array([[0.5, 0.0], [0.5, -0.5]])
+        prox = self.check(a, w, 0.25)
+        assert prox.mu == 0.25
+        # entries of w at +-t: breakpoints at mu = 0
+        self.check(a, np.array([[0.25, -0.25], [0.5, 0.0]]), 0.25)
+
+    def test_planted_row_blocks(self):
+        a, config = planted_120x157()
+        rho = 1.5 * float(np.linalg.norm(a))
+        t = config.theta / rho
+        prox = solver_module._GProx(a, t)
+        assert len(prox.blocks) > 1
+        # the first iteration's w, then a warm call on a nearby one
+        z = a / float(np.vdot(a, a))
+        w = 2.0 * linalg.svt(z, 1.0 / rho) - z
+        self.check(a, w, t, prox)
+        rng = np.random.default_rng(53)
+        self.check(a, w + 1e-4 * np.abs(w).max()
+                   * rng.standard_normal(w.shape), t, prox)
+
+
+class TestPenaltyDefault:
+    def test_tight_tolerance_converges_on_biclique_draw_3(self):
+        # without the relaxed step, penalty 1.0 certified this draw at tol
+        # 1e-8 with a spurious row and stalled near a gap of 7e-9 at 1e-10
+        a = plant_biclique(60, 60, 15, 15, p_edge=0.5, seed=3).a
+        base = solve(a, SolverConfig(theta=1.0 / 15))
+        tight_sol = solve(a, SolverConfig(
+            theta=1.0 / 15, tol_primal=1e-10, tol_dual=1e-10, tol_gap=1e-10,
+            max_iters=2000))
+        assert base.converged and tight_sol.converged
+        np.testing.assert_array_equal(tight_sol.support_rows,
+                                      base.support_rows)
+        np.testing.assert_array_equal(tight_sol.support_cols,
+                                      base.support_cols)
+
+    def test_penalty_one_loses_biclique_draw_21(self):
+        # the three-copy splitting certified this draw in 350 iterations;
+        # at penalty 1.0 Douglas-Rachford runs to the cap at a gap of 4e-7
+        a = plant_biclique(60, 60, 15, 15, p_edge=0.5, seed=21).a
+        config = SolverConfig(theta=1.0 / 15, max_iters=2000)
+        assert solve(a, config).converged
+        assert not solve(a, replace(config, penalty=1.0)).converged
