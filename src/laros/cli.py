@@ -65,13 +65,6 @@ def _solver_config(args, theta):
                         support_tol=args.support_tol)
 
 
-def _solver_params(config):
-    """The settings of `config` that flags set, as a manifest records them."""
-    params = asdict(config)
-    del params["check_every"], params["track_history"]
-    return params
-
-
 def _add_theta_flag(sub):
     sub.add_argument("--theta", type=float, required=True,
                      help="l1 weight in the objective (no default: results "
@@ -130,7 +123,7 @@ def _cmd_solve(args):
     if cert is not None:
         write_certificate(args.certificate_output, cert)
         result["certificate_path"] = args.certificate_output
-    return result, {"matrix": args.input}, _solver_params(config)
+    return result, {"matrix": args.input}, asdict(config)
 
 
 def _parse_index_list(text, flag):
@@ -229,7 +222,7 @@ def _cmd_nmf(args):
         "short_count": res.short_count,
     }
     # theta as given: a schedule is recorded whole
-    params = {**_solver_params(config), "theta": args.theta,
+    params = {**asdict(config), "theta": args.theta,
               "features": args.features}
     return result, {"matrix": args.input}, params
 
@@ -266,7 +259,7 @@ def _cmd_biclique(args):
     }
     if args.matrix_output:
         result["matrix_path"] = args.matrix_output
-    params = {**_solver_params(config), "m": args.m, "n": args.n,
+    params = {**asdict(config), "m": args.m, "n": args.n,
               "M": args.M, "N": args.N, "p_edge": args.p_edge,
               "seed": args.seed}
     return result, {}, params

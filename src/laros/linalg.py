@@ -104,11 +104,13 @@ def svt(a, tau):
 def soft_threshold(a, tau):
     """Entrywise soft thresholding sgn(x)*max(|x|-tau, 0).
 
-    Proximal map of the entrywise l1 norm.
+    Proximal map of the entrywise l1 norm. A thresholded entry reads +0.0
+    whatever its sign.
     """
     if not tau >= 0.0:  # NaN fails too; tau = inf gives the zero matrix
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    return _soft_threshold(as_matrix(a), tau)
+    m = as_matrix(a)
+    return _l1_prox(m, tau, out=np.empty_like(m))
 
 
 # Unchecked kernels for callers that validated their input once: `m` is a
@@ -154,20 +156,11 @@ def _support_svd(m, compute_uv=True):
     return u, s, vt
 
 
-def _soft_threshold(m, tau):
-    """sgn(m) * max(|m| - tau, 0), signed zeros included."""
-    mag = np.abs(m)
-    np.subtract(mag, tau, out=mag)
-    np.maximum(mag, 0.0, out=mag)
-    return np.multiply(np.sign(m), mag, out=mag)
-
-
 def _l1_prox(m, tau, out):
-    """The soft threshold of `m` written into `out` (not `m`) as
-    m - min(max(m, -tau), tau): three ufuncs against five, without the
-    slow np.sign (or np.clip's Python wrapper). The values equal
-    _soft_threshold's; a thresholded entry reads +0.0 whatever its sign.
-    `m` is left intact."""
+    """The soft threshold sgn(m) * max(|m| - tau, 0) of `m` written into
+    `out` (not `m`) as m - min(max(m, -tau), tau): three ufuncs against
+    five, without the slow np.sign (or np.clip's Python wrapper). A
+    thresholded entry reads +0.0 whatever its sign. `m` is left intact."""
     np.maximum(m, -tau, out=out)
     np.minimum(out, tau, out=out)
     return np.subtract(m, out, out=out)

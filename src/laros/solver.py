@@ -12,13 +12,13 @@ time and exposed to callers.
 
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (_l1_prox, _nuclear_prox, _signed_pairs,
-                     _soft_threshold, _support_svd, as_matrix, norm)
+from .linalg import (_l1_prox, _nuclear_prox, _signed_pairs, _support_svd,
+                     as_matrix, norm)
 
 
 # Entries per row block of the solver's passes. A pass touches at most six
@@ -36,6 +36,11 @@ _ROOT_PASSES = 64
 # diagnostic reads non-unique on problems whose optimal dual set has
 # untied points; the overshoot of 1.3 lands strictly below the threshold.
 _RELAX = 1.3
+# The stopping test is read, and its sums are taken, at every multiple of
+# _CHECK_EVERY and at max_iters. The certificate is checked there where the
+# primal and dual residuals pass (a failing one could not stop the solve),
+# and always at max_iters.
+_CHECK_EVERY = 25
 
 
 class ConvergenceError(RuntimeError):
@@ -58,12 +63,6 @@ class SolverConfig:
     tol_dual: float = 1e-8        # drift of x2 per iteration, relative
     tol_gap: float = 1e-8         # certificate residual, relative
     support_tol: float = 1e-6     # support cutoff relative to ||X||_inf
-    # the certificate is checked at every multiple of check_every where the
-    # primal and dual residuals pass (a failing one could not stop the
-    # solve), at every multiple when track_history is set, and always at
-    # max_iters
-    check_every: int = 25
-    track_history: bool = False
 
     def __post_init__(self):
         # written so that NaN fails too
@@ -73,11 +72,9 @@ class SolverConfig:
         if not 0.0 < self.penalty < math.inf:
             raise ValueError(
                 f"penalty must be finite and positive, got {self.penalty}")
-        for name in ("max_iters", "check_every"):
-            v = getattr(self, name)
-            if not isinstance(v, numbers.Integral) or isinstance(v, bool) \
-                    or v < 1:
-                raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
+        v = self.max_iters
+        if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
+            raise ValueError(f"max_iters must be an integer >= 1, got {v!r}")
         for name in ("tol_primal", "tol_dual", "tol_gap", "support_tol"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
@@ -118,10 +115,11 @@ class SolverState:
     dual_residual: float
     cert_residual: float
     certificate: DualCertificate
-    history: list = field(default_factory=list)
-    # ||z+ - z|| of each iteration, the step of the Douglas-Rachford
-    # state, _RELAX ||x2 - x1||, nonincreasing (with track_history)
-    fp_residuals: list = field(default_factory=list)
+    # one dict per stopping test, in order: iteration, primal_residual,
+    # dual_residual and step, ||z+ - z|| in the units of a, which relaxed
+    # Douglas-Rachford keeps nonincreasing; where the test checked the
+    # certificate, also cert_residual and weak_duality_slack
+    history: list
 
 
 @dataclass(frozen=True)
@@ -235,32 +233,18 @@ class _Check(NamedTuple):
         return max(0.0, self.dual - 1.0 / self.lam) * self.lam
 
 
-def _check(a, theta, rho, xbar, v2):
+def _check(a, theta, x2, g2):
     """Certificate A = Y + Z at the current iterate and its residual.
 
-    The l1-side multiplier G2 = rho*(v2 - prox(v2)) is an exact subgradient
-    of theta*||.||_1 at the thresholded point, so Z = G2/objective satisfies
-    its norm bound and alignment exactly; all convergence error lands in Y.
-    The SVD of the candidate, with vectors and taken on its support, also
-    serves the certificate's alpha and the solution's rank-one parts.
+    x2 = prox_g(w) is the soft threshold of w + mu A, so <A, x2> = 1 up to
+    rounding (or more, where mu = 0), and g2 = rho*(w + mu A - x2) is its
+    l1 multiplier, an exact subgradient of theta*||.||_1 at x2. So
+    Z = g2/objective, formed in the memory of g2, satisfies its norm bound
+    and alignment exactly; all convergence error lands in Y. The SVD of the
+    candidate, with vectors and taken on its support, also serves the
+    certificate's alpha and the solution's rank-one parts.
     """
-    x2 = _soft_threshold(v2, theta / rho)
-    g2 = rho * (v2 - x2)
-    gain = float(np.vdot(a, x2))
-    if gain <= 0.0 or not x2.any():
-        # early iterates can threshold to zero; fall back to xbar
-        # projected onto the halfspace, with a clipped multiplier:
-        # project_halfspace(xbar, a, 1.0) without its checks
-        g = float(np.vdot(a, xbar))
-        x2 = xbar if g >= 1.0 else \
-            xbar + ((1.0 - g) / float(np.vdot(a, a))) * a
-        gain = float(np.vdot(a, x2))
-        g2 = np.clip(rho * (v2 - x2), -theta, theta)
-    # x2 and g2 are not read again. Dropping x2 and forming z in the
-    # memory of g2 leaves room for the Gram matrix below: the check holds
-    # no more m x n arrays than with an SVD of y.
-    x_rep = x2 / gain
-    del x2
+    x_rep = x2 / float(np.vdot(a, x2))
     fx = _support_svd(x_rep)
     nuc_rep = float(np.sum(fx[1]))
     lam = nuc_rep + theta * float(np.abs(x_rep).sum())  # ||x_rep||_theta
@@ -404,7 +388,7 @@ def solve(a, config):
     the certified gap all fall below the configured tolerances. On
     non-convergence the final iterate is returned with converged=False.
     Either way the dual certificate is the one checked at the final
-    iterate.
+    iterate. Every stopping test is recorded in state.history.
 
     The problem is homogeneous in a: the splitting runs on a / 2^e, with e
     chosen so that ||a / 2^e||_inf lies in [0.5, 1), where ||a||_F^2 and
@@ -432,7 +416,6 @@ def solve(a, config):
     x2, x2_prev = np.zeros_like(a), np.zeros_like(a)
 
     history = []
-    fp_residuals = []
     converged = False
     # the loop always checks at k == max_iters and stops only right after
     # a passing check, so the last check is always of the final iterate
@@ -455,10 +438,7 @@ def solve(a, config):
             # NaN)
             raise ValueError(f"solver iterate is not finite at iteration {k}")
         prox_g(w, x2, z, h)
-        # the stopping test is read only for the history, at a multiple of
-        # check_every and at max_iters; its sums are taken only then
-        if not (config.track_history or k % config.check_every == 0
-                or k == config.max_iters):
+        if k % _CHECK_EVERY and k != config.max_iters:
             continue
         # x1 formed again as in the first pass, so that x2 - x1 is not
         # read off z, where it would cancel against z's larger entries
@@ -474,35 +454,23 @@ def solve(a, config):
         scale = max(math.sqrt(nn), 1e-300)
         r_rel = r / scale
         s_rel = math.sqrt(ss) / scale
-        if config.track_history:
-            # ||z+ - z|| = _RELAX ||x2 - x1||, the step of the state:
-            # nonincreasing under relaxed Douglas-Rachford
-            fp_residuals.append(math.ldexp(_RELAX * r, -e))
-
-        # convergence needs all four tests, so a check whose residuals
-        # fail cannot stop the solve: it runs only for the history
+        # the step ||z+ - z|| = _RELAX ||x2 - x1|| in the units of am: X
+        # scales by 2^-e
+        entry = {"iteration": k, "primal_residual": r_rel,
+                 "dual_residual": s_rel, "step": math.ldexp(_RELAX * r, -e)}
+        history.append(entry)
         can_stop = r_rel <= config.tol_primal and s_rel <= config.tol_dual
-        if k != config.max_iters and (k % config.check_every or not (
-                can_stop or config.track_history)):
+        if not (can_stop or k == config.max_iters):
             continue
-        # the l1 prox input w + mu A, in place: the next iteration forms
-        # w anew
-        for b, s, _ in blocks:
-            np.add(w[b], np.multiply(a[b], prox_g.mu, out=s), out=w[b])
-        chk = _check(a, theta, rho, x2, w)
-        if config.track_history:
-            # in the units of am: X scales by 2^-e and rho by 2^e
-            nuc = float(np.sum(_support_svd(x2, compute_uv=False)))
-            merit = (math.ldexp(nuc + theta * float(np.abs(x2).sum()), -e)
-                     + math.ldexp(rho, e)
-                     * max(0.0, 1.0 - float(np.vdot(a, x2))))
-            history.append({
-                "iteration": k,
-                "merit": merit,
-                "primal_residual": r_rel,
-                "dual_residual": s_rel,
-                "weak_duality_slack": math.ldexp(chk.dual - 1.0 / chk.lam, e),
-            })
+        # the l1 multiplier rho (w + mu A - x2) of the loop's own x2
+        g2 = np.multiply(a, prox_g.mu)
+        g2 += w
+        g2 -= x2
+        chk = _check(a, theta, x2, np.multiply(g2, rho, out=g2))
+        # dual - 1/lam in the units of am: the dual scales by 2^e
+        entry.update(cert_residual=chk.residual,
+                     weak_duality_slack=math.ldexp(chk.dual - 1.0 / chk.lam,
+                                                   e))
         if can_stop and max(chk.residual, chk.gap) <= config.tol_gap:
             converged = True
             break
@@ -521,8 +489,7 @@ def solve(a, config):
     state = SolverState(a=am, theta=theta, iterations=k,
                         converged=converged, primal_residual=r_rel,
                         dual_residual=s_rel, cert_residual=chk.residual,
-                        certificate=cert, history=history,
-                        fp_residuals=fp_residuals)
+                        certificate=cert, history=history)
     return Solution(x=np.ldexp(chk.x_rep, -e, out=chk.x_rep),
                     sigma=math.ldexp(parts.sigma, -e), u=parts.u, v=parts.v,
                     support_rows=parts.rows, support_cols=parts.cols,

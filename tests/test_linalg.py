@@ -195,7 +195,8 @@ class TestSoftThreshold:
             assert got is out
             assert np.array_equal(a.view(np.int64), keep.view(np.int64))
             # == compares the values: +0.0 equals -0.0
-            assert np.array_equal(got, soft_threshold(keep, tau))
+            want = np.sign(keep) * np.maximum(np.abs(keep) - tau, 0)
+            assert np.array_equal(got, want)
 
 
 class TestProjectHalfspace:

@@ -9,6 +9,7 @@ import re
 import numpy as np
 import pytest
 
+from laros import solver as solver_module
 from laros.analysis import (BlockSelector, row_zero_threshold, theta_A,
                             theta_B)
 from laros.cli import main
@@ -27,24 +28,27 @@ def fast(theta, **kw):
 
 
 class TestSolverProperties:
-    def test_weak_duality_and_merit_along_iterates(self):
+    def test_weak_duality_and_step_along_iterates(self, monkeypatch):
+        # a stopping test at every iteration, and loose residual
+        # tolerances, so that the iterations check the certificate: all
+        # but the first few, whose drift of x2 is near 1 (x2 starts at 0)
+        monkeypatch.setattr(solver_module, "_CHECK_EVERY", 1)
         rng = np.random.default_rng(70)
         for case in range(CASES):
             a = rng.random((5, 5)) + 0.05
             theta = float(rng.uniform(0.05, 1.5))
-            sol = solve(a, SolverConfig(theta=theta, track_history=True))
+            sol = solve(a, SolverConfig(theta=theta, tol_primal=0.5,
+                                        tol_dual=0.5))
             assert sol.converged
-            slacks = [h["weak_duality_slack"] for h in sol.state.history]
+            history = sol.state.history
+            assert len(history) == sol.iterations
+            slacks = [h["weak_duality_slack"] for h in history
+                      if "weak_duality_slack" in h]
+            assert len(slacks) >= sol.iterations - 2
             assert min(slacks) >= -1e-9
-            # merit may wiggle transiently (<= 5% of its initial value)
-            # but descends net to its running minimum; the governing
-            # fixed-point residual descends monotonically
-            merits = np.array([h["merit"] for h in sol.state.history])
-            assert np.diff(merits).max(initial=0.0) <= 5e-2 * max(
-                merits[0], 1.0)
-            assert merits[-1] <= merits.min() + 1e-6 * merits[0]
-            fp = np.array(sol.state.fp_residuals)
-            assert np.diff(fp).max(initial=0.0) <= 1e-12 * fp[0]
+            # the step ||z+ - z|| of relaxed Douglas-Rachford never grows
+            steps = np.array([h["step"] for h in history])
+            assert np.diff(steps).max(initial=0.0) <= 1e-12 * steps[0]
 
     def test_scaling_bridge(self):
         rng = np.random.default_rng(71)

@@ -36,9 +36,9 @@ class TestSolverConfig:
             SolverConfig(theta=0.5, penalty=-2.0)
 
     @pytest.mark.parametrize("loop", [
-        {"check_every": 0}, {"check_every": -25}, {"check_every": 2.5},
-        {"max_iters": 2.5}, {"max_iters": -3}, {"max_iters": True},
-        {"check_every": "25"}])
+        {"max_iters": 0}, {"max_iters": -25}, {"max_iters": 2.5},
+        {"max_iters": 3.0}, {"max_iters": -3}, {"max_iters": True},
+        {"max_iters": "25"}])
     def test_loop_settings_must_be_positive_integers(self, loop):
         with pytest.raises(ValueError, match="must be an integer >= 1"):
             SolverConfig(theta=0.5, **loop)
@@ -51,8 +51,7 @@ class TestSolverConfig:
             SolverConfig(**{"theta": 0.5, **setting})
 
     def test_numpy_integers_accepted(self):
-        config = SolverConfig(theta=0.5, max_iters=np.int64(7),
-                              check_every=np.int32(3))
+        config = SolverConfig(theta=0.5, max_iters=np.int64(7))
         assert solve(two_block_matrix(), config).iterations == 7
 
 
@@ -282,29 +281,50 @@ class TestSolverInvariants:
     def test_weak_duality_along_iterates(self):
         rng = np.random.default_rng(9)
         a = rng.random((7, 6))
-        sol = solve(a, SolverConfig(theta=0.6, tol_primal=1e-9,
-                                    tol_dual=1e-9, tol_gap=1e-9,
-                                    track_history=True))
+        # residual tolerances every stopping test passes, so that each one
+        # checks the certificate
+        sol = solve(a, SolverConfig(theta=0.6, tol_primal=0.5,
+                                    tol_dual=0.5, tol_gap=1e-9))
         assert sol.converged
-        assert len(sol.state.history) >= 2
-        for entry in sol.state.history:
+        history = sol.state.history
+        assert len(history) >= 2
+        for entry in history:
             assert entry["weak_duality_slack"] >= -1e-9
 
-    def test_merit_nonincreasing_up_to_tolerance(self):
-        # the splitting is not a strict descent method; the merit may
-        # wiggle by a small fraction of its initial value, while the
-        # governing fixed-point residual decreases monotonically
+    def test_step_nonincreasing(self, monkeypatch):
+        # relaxed Douglas-Rachford is firmly nonexpansive in its state:
+        # ||z+ - z|| never grows (up to rounding)
+        monkeypatch.setattr(solver_module, "_CHECK_EVERY", 1)
         rng = np.random.default_rng(10)
         a = rng.random((6, 6))
         sol = solve(a, SolverConfig(theta=0.7, tol_primal=1e-10,
-                                    tol_dual=1e-10, tol_gap=1e-10,
-                                    track_history=True))
-        merits = np.array([h["merit"] for h in sol.state.history])
-        increases = np.diff(merits)
-        assert increases.max(initial=0.0) <= 5e-2 * max(merits[0], 1.0)
-        assert merits[-1] <= merits.min() + 1e-6 * merits[0]
-        fp = np.array(sol.state.fp_residuals)
-        assert np.diff(fp).max(initial=0.0) <= 1e-12 * fp[0]
+                                    tol_dual=1e-10, tol_gap=1e-10))
+        assert sol.converged
+        steps = np.array([h["step"] for h in sol.state.history])
+        assert steps.size == sol.iterations
+        assert np.diff(steps).max(initial=0.0) <= 1e-12 * steps[0]
+
+    @pytest.mark.parametrize("case", [1, 3])
+    def test_history_schema(self, case):
+        # c04 #1 converges at iteration 100; #3 is capped at 1013
+        config = SolverConfig(theta=1.5, max_iters=1013)
+        sol = solve(c04_instances()[case], config)
+        assert sol.converged == (case == 1)
+        history = sol.state.history
+        # a stopping test at every multiple of 25 and at max_iters
+        want = list(range(25, sol.iterations + 1, 25))
+        if not sol.converged:
+            want.append(config.max_iters)
+        assert [h["iteration"] for h in history] == want
+        assert history[-1]["iteration"] == sol.iterations
+        for h in history:
+            assert {"iteration", "primal_residual", "dual_residual",
+                    "step"} <= set(h)
+            assert all(math.isfinite(v) for v in h.values())
+        last = history[-1]
+        assert last["cert_residual"] == sol.state.cert_residual
+        assert (last["primal_residual"], last["dual_residual"]) == (
+            sol.state.primal_residual, sol.state.dual_residual)
 
     def test_scaling_bridge(self):
         rng = np.random.default_rng(12)
@@ -430,14 +450,15 @@ class TestMemoryLayout:
 
 
 def c04_instances():
-    """The first three matrices of the c04 nonnegativity corpus."""
+    """The first four matrices of the c04 nonnegativity corpus."""
     rng = np.random.default_rng(40)
-    return [rng.random((15, 15)) for _ in range(3)]
+    return [rng.random((15, 15)) for _ in range(4)]
 
 
 class TestGatedChecks:
-    """A certificate check runs only where it can stop the solve, or for
-    the history; skipping the others changes no result."""
+    """A stopping test checks the certificate only where the primal and
+    dual residuals pass, since a check cannot stop the solve otherwise,
+    and always at max_iters; skipping the others changes no result."""
 
     @pytest.mark.parametrize("case", range(4))
     def test_same_result_as_checking_every_interval(self, case):
@@ -448,16 +469,30 @@ class TestGatedChecks:
             config = SolverConfig(theta=1.0 / 40, tol_primal=1e-7,
                                   tol_dual=1e-7, tol_gap=1e-7)
         else:
-            a = c04_instances()[case - 1]
-            # 1013 is not a multiple of check_every: the capped solve's
-            # last check is its forced one at max_iters
+            a = c04_instances()[(0, 1, 3)[case - 1]]
+            # 1013 is not a multiple of 25: the capped solve's last check
+            # is its forced one at max_iters
             config = SolverConfig(theta=1.5, max_iters=(15000, 15000,
                                                         1013)[case - 1])
         gated = solve(a, config)
-        tracked = solve(a, replace(config, track_history=True))
-        assert_same_solve(gated, tracked)
-        history = tracked.state.history
-        assert history[-1]["iteration"] == tracked.iterations
+        assert gated.converged == (case != 3)
+        # residual tolerances every stopping test passes and a gap none
+        # does: the same iterations with a check at every stopping test
+        checked = solve(a, replace(config, max_iters=gated.iterations,
+                                   tol_primal=0.5, tol_dual=0.5,
+                                   tol_gap=1e-300))
+        assert not checked.converged
+        assert_same_solve(replace(checked, converged=gated.converged), gated)
+        assert len(checked.state.history) == len(gated.state.history)
+        for h, ref in zip(gated.state.history, checked.state.history):
+            assert "cert_residual" in ref
+            can_stop = (h["primal_residual"] <= config.tol_primal
+                        and h["dual_residual"] <= config.tol_dual)
+            if can_stop or h["iteration"] == gated.iterations:
+                assert h == ref
+            else:
+                assert h == {k: ref[k] for k in ("iteration",
+                             "primal_residual", "dual_residual", "step")}
         if not gated.converged:
             assert gated.iterations == config.max_iters == 1013
             assert np.isfinite(gated.state.cert_residual)
@@ -522,24 +557,21 @@ class TestSplittingReference:
             assert min(a.shape) >= linalg._PARTIAL_SVT_MIN_DIM
         monkeypatch.setattr(solver_module, "_nuclear_prox",
                             lambda shape: linalg._svt)
-        # tolerances no solve meets: all 60 iterations run
+        # a stopping test at every iteration, and tolerances no solve
+        # meets: all 60 iterations run
+        monkeypatch.setattr(solver_module, "_CHECK_EVERY", 1)
         config = SolverConfig(theta=theta, penalty=penalty, max_iters=60,
-                              tol_primal=1e-300, check_every=5,
-                              track_history=True)
+                              tol_primal=1e-300)
         sol = solve(a, config)
         assert sol.iterations == 60
-        ref = dr2_residuals(a, theta, penalty, solver_module._RELAX, 60)
-        steps = [r[2] for r in ref]
-        np.testing.assert_allclose(sol.state.fp_residuals, steps,
-                                   rtol=1e-9, atol=1e-12 * steps[0])
         history = sol.state.history
-        assert [h["iteration"] for h in history] == list(range(5, 61, 5))
-        for h in history:
-            primal, dual, _ = ref[h["iteration"] - 1]
-            assert h["primal_residual"] == pytest.approx(
-                primal, rel=1e-9, abs=1e-12 * ref[0][0])
-            assert h["dual_residual"] == pytest.approx(
-                dual, rel=1e-9, abs=1e-12 * ref[0][1])
+        assert [h["iteration"] for h in history] == list(range(1, 61))
+        ref = dr2_residuals(a, theta, penalty, solver_module._RELAX, 60)
+        for i, name in enumerate(("primal_residual", "dual_residual",
+                                  "step")):
+            np.testing.assert_allclose(
+                [h[name] for h in history], [r[i] for r in ref],
+                rtol=1e-9, atol=1e-12 * ref[0][i], err_msg=name)
 
 
 class TestExitPathSvds:
@@ -637,10 +669,14 @@ class TestL1HalfspaceProx:
         np.testing.assert_allclose(
             added, x2, rtol=0,
             atol=1e-13 * max(np.abs(w).max(), np.abs(x2).max()))
+        # feasible to a few ulps in every case, mu = 0 included: the
+        # certificate check normalizes x2 by <A, x2> without a fallback
+        eps = np.finfo(float).eps
+        gain = math.fsum((a * x2).ravel())
+        assert gain >= 1.0 - 4 * eps
         if mu > 0:
             # the constraint holds with equality, to a few ulps
-            assert abs(math.fsum((a * x2).ravel()) - 1.0) \
-                <= 4 * np.finfo(float).eps
+            assert abs(gain - 1.0) <= 4 * eps
         return prox
 
     def test_root_at_zero(self):
