@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_matrix
-from .solver import dual_theta_norm
 
 LOG7 = math.log(7.0)
 
@@ -150,13 +149,15 @@ class RowRatioReport:
         return float(max(parts))
 
 
-def row_ratio_check(a, sol, theta, dual_norm=None):
+def row_ratio_check(a, sol, theta, dual_norm):
     """Check the rank-one optimality ratios of a solved instance.
 
     For a nonnegative rank-one solution sigma*u*v^T: every supported row i
     must satisfy (a_i . v)/(theta*||v||_1 + u_i) = dual norm, and every zero
     row j must satisfy (a_j . v)/(theta*||v||_1) <= dual norm; columns
-    symmetrically. Residuals are relative to the dual norm.
+    symmetrically. Residuals are relative to the dual norm, which the
+    caller supplies (1 / sol.objective for an exact solve; see
+    dual_theta_norm).
     """
     am = as_matrix(a)
     if theta <= 0:
@@ -172,8 +173,6 @@ def row_ratio_check(a, sol, theta, dual_norm=None):
         raise ValueError("solution factors must be nonnegative")
     u = np.maximum(u, 0.0)
     v = np.maximum(v, 0.0)
-    if dual_norm is None:
-        dual_norm = dual_theta_norm(am, theta)
     d = float(dual_norm)
 
     tv = theta * v.sum()
@@ -272,14 +271,14 @@ class PlantedCertificateReport:
     passed: bool
 
 
-def build_planted_certificate(a, model, sol, theta, tol=1e-6):
+def build_planted_certificate(a, model, sol, theta):
     """Assemble the blockwise dual certificate for a solved planted instance.
 
     Uses lambda* from the solver objective. The (1,1) blocks are the
     rank-one system u1 v1^T + W11 + theta*ones = lambda* A11; off-diagonal
     V blocks are built column-by-column (rows for the transposed side) so
     that W^T u1 and W v1 vanish by construction; V22 is the constant block
-    that centers W22.
+    that centers W22. `passed` allows each norm condition a slack of 1e-6.
     """
     am = as_matrix(a)
     if theta <= 0:
@@ -332,6 +331,7 @@ def build_planted_certificate(a, model, sol, theta, tol=1e-6):
     wt_u = float(np.linalg.norm(w_mat.T @ u_full))
     w_v = float(np.linalg.norm(w_mat @ v_full))
     v_inf = float(np.abs(v_mat).max())
+    tol = 1e-6
     passed = (v_inf <= 1.0 + tol
               and max(w11, w12, w21, w22) <= 0.5 + tol
               and max(wt_u, w_v) <= tol)

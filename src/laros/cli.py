@@ -50,19 +50,11 @@ _CONFIG_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
 
 
 def _solver_config(args, theta):
-    def tol(name):
-        override = getattr(args, name)
-        if override is not None:
-            return override
-        return _CONFIG_DEFAULTS[name] if args.tol is None else args.tol
-
-    return SolverConfig(theta=theta,
-                        penalty=args.penalty,
+    tols = {} if args.tol is None else dict.fromkeys(
+        ("tol_primal", "tol_dual", "tol_gap"), args.tol)
+    return SolverConfig(theta=theta, penalty=args.penalty,
                         max_iters=args.max_iters,
-                        tol_primal=tol("tol_primal"),
-                        tol_dual=tol("tol_dual"),
-                        tol_gap=tol("tol_gap"),
-                        support_tol=args.support_tol)
+                        support_tol=args.support_tol, **tols)
 
 
 def _add_theta_flag(sub):
@@ -77,10 +69,8 @@ def _add_solver_flags(sub):
     sub.add_argument("--max-iters", type=int,
                      default=_CONFIG_DEFAULTS["max_iters"])
     sub.add_argument("--tol", type=float, default=None,
-                     help="sets all three tolerances unless overridden")
-    sub.add_argument("--tol-primal", type=float, default=None)
-    sub.add_argument("--tol-dual", type=float, default=None)
-    sub.add_argument("--tol-gap", type=float, default=None)
+                     help="sets the primal, dual and gap tolerances "
+                          "(default: SolverConfig's)")
     sub.add_argument("--support-tol", type=float,
                      default=_CONFIG_DEFAULTS["support_tol"])
 

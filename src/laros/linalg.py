@@ -177,7 +177,6 @@ _PARTIAL_SVT_MIN_DIM = 80
 # 480 x 480 @ 480 x k took 34/40/71/59 us at k = 1-4, 178/185/233 us at
 # k = 5-7). Two keep one probe column beyond the next Ritz value.
 _OVERSAMPLE = 2
-_RANK_STEP = 5         # block growth: the rank increment of Cai-Candes-Shen
 _SWEEPS = 12           # subspace sweeps per call before the LAPACK fallback
 _RESIDUAL_ULPS = 4     # kept triplets: ||m v - s u|| <= ULPS*k*eps*sigma_1
 
@@ -208,12 +207,11 @@ class _WarmSvt:
     construction). The call returns when every kept triplet
     (s > tau) has a residual of a few ulps of sigma_1 per block column
     (rounding in the k-column products sets a floor that grows with k) and
-    the next Ritz value plus its residual is at most tau. If every Ritz
-    value exceeds tau, the block grows by _RANK_STEP random columns
-    (Cai-Candes-Shen 2010): the oversampling keeps the common call, whose
-    rank has not moved, on narrow products, and the growth lets a rising
-    rank be caught within the sweep budget. A call whose block reaches
-    min(m, n)/4, or that runs out of sweeps, uses the full SVD. Random
+    the next Ritz value plus its residual is at most tau. Ritz values
+    bound the singular values from below, so if every Ritz value exceeds
+    tau the block is too narrow to hold the output. Such a call, one whose
+    block would reach min(m, n)/4, and one that runs out of sweeps use the
+    full SVD, and the next call starts warm at the new rank. Random
     columns come from a generator seeded per instance, so a solve is
     reproducible.
     """
@@ -225,32 +223,26 @@ class _WarmSvt:
         self.basis = np.empty((self.n, 0))  # previous right Ritz vectors
         self.rank = 0                       # previous output rank
 
-    def _columns(self, count):
-        return self.rng.standard_normal((self.n, count))
-
     def __call__(self, m, tau):
         k = self.rank + _OVERSAMPLE
-        v = np.hstack([self.basis, self._columns(k - self.basis.shape[1])])
-        y = m @ v
-        eps = np.finfo(float).eps
-        for _ in range(_SWEEPS):
-            if k >= self.cap:
-                break
-            q = np.linalg.qr(y)[0]
-            # m^T q as the transpose of the faster product q^T m
-            v, s, wt = np.linalg.svd((q.T @ m).T, full_matrices=False)
-            u = q @ wt.T
-            y = m @ v
-            res = np.linalg.norm(y - u * s, axis=0)
-            r = int(np.count_nonzero(s > tau))
-            if r == k:
-                y = np.hstack([y, m @ self._columns(_RANK_STEP)])
-                k += _RANK_STEP
-                continue
-            if res[:r].max(initial=0.0) <= _RESIDUAL_ULPS * k * eps * s[0] \
-                    and s[r] + res[r] <= tau:
-                self._keep(v.T, r)
-                return _factors(u, s, v.T, tau)
+        if k < self.cap:
+            fresh = self.rng.standard_normal((self.n, k - self.basis.shape[1]))
+            y = m @ np.hstack([self.basis, fresh])
+            tol = _RESIDUAL_ULPS * k * np.finfo(float).eps
+            for _ in range(_SWEEPS):
+                q = np.linalg.qr(y)[0]
+                # m^T q as the transpose of the faster product q^T m
+                v, s, wt = np.linalg.svd((q.T @ m).T, full_matrices=False)
+                u = q @ wt.T
+                y = m @ v
+                res = np.linalg.norm(y - u * s, axis=0)
+                r = int(np.count_nonzero(s > tau))
+                if r == k:
+                    break
+                if (res[:r].max(initial=0.0) <= tol * s[0]
+                        and s[r] + res[r] <= tau):
+                    self._keep(v.T, r)
+                    return _factors(u, s, v.T, tau)
         u, s, vt = np.linalg.svd(m, full_matrices=False)
         out = _factors(u, s, vt, tau)
         self._keep(vt, out[0].shape[1])

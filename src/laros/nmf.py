@@ -2,13 +2,14 @@
 rank-one submatrix, refit it by the leading singular pair of that
 submatrix, subtract, and clamp the residual at zero."""
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analysis import BlockSelector
 from .linalg import as_matrix
-from .solver import ConvergenceError, SolverConfig, extract_rank_one, solve
+from .solver import ConvergenceError, extract_rank_one, solve
 
 
 @dataclass(frozen=True)
@@ -49,15 +50,16 @@ def residual_update(r, sigma, u, v, block):
     return out
 
 
-def greedy_extract(a, p, theta, config=None):
+def greedy_extract(a, p, theta, config):
     """Extract up to `p` rank-one features from nonnegative `a`.
 
-    Each round solves the relaxation on the current residual at that
-    round's theta (scalar theta is reused; a sequence gives a per-round
-    schedule), reads off the support, refits the feature as the leading
-    singular pair of the residual restricted to the support, subtracts and
-    clamps. Stops early (short count) once the residual is numerically
-    zero. Raises ConvergenceError if an inner solve fails to converge.
+    Each round solves the relaxation on the current residual with the
+    settings of `config` at that round's theta (scalar theta is reused; a
+    sequence gives a per-round schedule), reads off the support, refits
+    the feature as the leading singular pair of the residual restricted to
+    the support, subtracts and clamps. Stops early (short count) once the
+    residual is numerically zero. Raises ConvergenceError if an inner
+    solve fails to converge.
     """
     am = as_matrix(a)
     if am.min() < 0:
@@ -69,12 +71,18 @@ def greedy_extract(a, p, theta, config=None):
     thetas = [float(theta)] * p if np.isscalar(theta) else [float(t) for t in theta]
     if len(thetas) != p:
         raise ValueError(f"theta schedule has {len(thetas)} entries, expected {p}")
-    if config is None:
-        config = SolverConfig(theta=0.0)
+
+    # ||r||_F taken on r / 2^e, with ||a / 2^e||_inf in [0.5, 1), so that
+    # its sum of squares neither overflows nor underflows at any scale of
+    # a; the scaling is exact
+    e = int(np.frexp(np.abs(am).max())[1])
+
+    def fro(r):
+        return math.ldexp(float(np.linalg.norm(np.ldexp(r, -e))), e)
 
     m, n = am.shape
     resid = am.copy()
-    norms = [float(np.linalg.norm(resid))]
+    norms = [fro(resid)]
     w_cols, h_cols, supports = [], [], []
     floor = 1e-12 * norms[0]
     for k in range(p):
@@ -106,12 +114,10 @@ def greedy_extract(a, p, theta, config=None):
         h_cols.append(h_full)
         supports.append(block)
         resid = residual_update(resid, sigma, u, v, block)
-        norms.append(float(np.linalg.norm(resid)))
+        norms.append(fro(resid))
 
-    if not w_cols:
-        return NmfResult(w=np.zeros((m, 0)), h=np.zeros((n, 0)),
-                         residual_norms=np.array(norms), supports=(),
-                         requested=p)
+    # w_cols is not empty: the first round runs (norms[0] > floor) and
+    # either raises or appends
     return NmfResult(w=np.column_stack(w_cols), h=np.column_stack(h_cols),
                      residual_norms=np.array(norms), supports=tuple(supports),
                      requested=p)

@@ -12,7 +12,7 @@ time and exposed to callers.
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -185,7 +185,7 @@ class Solution:
         return self.x / self.objective
 
 
-def extract_rank_one(x, support_tol=1e-6, rank_tol=1e-6):
+def extract_rank_one(x, support_tol=1e-6):
     """Leading singular triple of `x` plus row/column support sets.
 
     Support keeps indices whose largest entry magnitude exceeds
@@ -196,10 +196,10 @@ def extract_rank_one(x, support_tol=1e-6, rank_tol=1e-6):
         return RankOneParts(0.0, np.zeros(xm.shape[0]), np.zeros(xm.shape[1]),
                             np.array([], dtype=int), np.array([], dtype=int),
                             False)
-    return _rank_one_parts(xm, _support_svd(xm), support_tol, rank_tol)
+    return _rank_one_parts(xm, _support_svd(xm), support_tol)
 
 
-def _rank_one_parts(xm, factors, support_tol, rank_tol=1e-6):
+def _rank_one_parts(xm, factors, support_tol):
     """RankOneParts of a nonzero `xm` from its thin SVD (u, s, vt) or
     `_support_svd`, with the sign convention of `svd` applied to the
     leading pair."""
@@ -211,7 +211,7 @@ def _rank_one_parts(xm, factors, support_tol, rank_tol=1e-6):
     cutoff = support_tol * mag.max()
     rows = np.flatnonzero(mag.max(axis=1) > cutoff)
     cols = np.flatnonzero(mag.max(axis=0) > cutoff)
-    rank_one = bool(s[0] > 0 and (s.size == 1 or s[1] <= rank_tol * s[0]))
+    rank_one = bool(s[0] > 0 and (s.size == 1 or s[1] <= 1e-6 * s[0]))
     return RankOneParts(float(s[0]), u0, v0, rows, cols, rank_one)
 
 
@@ -231,6 +231,12 @@ class _Check(NamedTuple):
     def gap(self):
         """Relative weak-duality gap (dual - 1/lam) * lam, clipped at 0."""
         return max(0.0, self.dual - 1.0 / self.lam) * self.lam
+
+    @property
+    def spectral_gap(self):
+        """sigma_1 - sigma_2 of y (sigma_1 if y has one singular value)."""
+        sy = self.sy
+        return float(sy[0] - sy[1]) if sy.size > 1 else float(sy[0])
 
 
 def _check(a, theta, x2, g2):
@@ -270,21 +276,22 @@ def _check(a, theta, x2, g2):
                   max(balance, align))
 
 
-def _dual_certificate(chk):
-    """The DualCertificate of a check; alpha and beta are the nuclear and
-    l1 norms of the scaled solution x_rep / lam, so alpha + theta*beta = 1
-    up to rounding."""
-    sy = chk.sy
+def _dual_certificate(chk, e):
+    """The DualCertificate of a check run on A / 2^e, in the units of A:
+    Y, Z and the dual norm scale by 2^e, in place for the check's arrays.
+    alpha and beta are the nuclear and l1 norms of the scaled solution
+    x_rep / lam, so alpha + theta*beta = 1 up to rounding."""
     # before |Z| is formed, so that at most two m x n temporaries coexist
     beta = float(np.abs(chk.x_rep / chk.lam).sum())
     zabs = np.abs(chk.z)
     zmax = float(zabs.max())
     ties = int(np.sum(zabs >= zmax * (1.0 - 1e-8))) if zmax > 0 else 0
     return DualCertificate(
-        y=chk.y, z=chk.z, alpha=float(np.sum(chk.fx[1])) / chk.lam,
-        beta=beta,
-        dual_norm=chk.dual, lambda_star=1.0 / chk.dual,
-        spectral_gap=float(sy[0] - sy[1]) if sy.size > 1 else float(sy[0]),
+        y=np.ldexp(chk.y, e, out=chk.y), z=np.ldexp(chk.z, e, out=chk.z),
+        alpha=float(np.sum(chk.fx[1])) / chk.lam, beta=beta,
+        dual_norm=math.ldexp(chk.dual, e),
+        lambda_star=math.ldexp(1.0 / chk.dual, -e),
+        spectral_gap=math.ldexp(chk.spectral_gap, e),
         linf_argmax_count=ties)
 
 
@@ -475,17 +482,11 @@ def solve(a, config):
             converged = True
             break
 
-    cert = _dual_certificate(chk)
+    cert = _dual_certificate(chk, e)
     lam = chk.lam
     parts = _rank_one_parts(chk.x_rep, chk.fx, config.support_tol)
-    unique_spectral = cert.spectral_gap > 1e-8 * max(float(chk.sy[0]), 1e-300)
+    unique_spectral = chk.spectral_gap > 1e-8 * max(float(chk.sy[0]), 1e-300)
     unique_linf = theta > 0 and cert.linf_argmax_count == 1
-    # back to the scale of am, in place: the check's arrays are the result
-    cert = replace(cert, y=np.ldexp(cert.y, e, out=cert.y),
-                   z=np.ldexp(cert.z, e, out=cert.z),
-                   dual_norm=math.ldexp(cert.dual_norm, e),
-                   lambda_star=math.ldexp(cert.lambda_star, -e),
-                   spectral_gap=math.ldexp(cert.spectral_gap, e))
     state = SolverState(a=am, theta=theta, iterations=k,
                         converged=converged, primal_residual=r_rel,
                         dual_residual=s_rel, cert_residual=chk.residual,
@@ -552,20 +553,17 @@ def check_optimality(a, theta, x, cert):
                             gap=gap)
 
 
-def dual_theta_norm(a, theta, config=None):
+def dual_theta_norm(a, theta):
     """Dual of the theta-norm at `a`: the reciprocal of the optimal value
-    of the constrained problem, computed by running the solver.
+    of the constrained problem, computed by running the solver at the
+    default SolverConfig.
 
     Equals min over Y+Z=a of max{||Y||, ||Z||_inf/theta} (for theta > 0).
     """
     am = as_matrix(a)
     if not am.any():
         raise ValueError("dual norm undefined at the zero matrix")
-    if config is None:
-        config = SolverConfig(theta=theta)
-    elif config.theta != theta:
-        raise ValueError("config.theta disagrees with theta argument")
-    sol = solve(am, config)
+    sol = solve(am, SolverConfig(theta=theta))
     if not sol.converged:
         raise ConvergenceError(
             f"dual norm solve did not converge in {sol.iterations} iterations")

@@ -255,8 +255,7 @@ class TestPlantedCertificate:
         inst = plant_rank_one(model, seed=3)
         theta = 1.0 / math.sqrt(20.0)
         sol = solve(inst.a, tight(theta))
-        report = build_planted_certificate(inst.a, model, sol, theta,
-                                           tol=1e-6)
+        report = build_planted_certificate(inst.a, model, sol, theta)
         assert report.w12 <= 1e-8 and report.w21 <= 1e-8 and report.w22 <= 1e-8
         assert report.w11 <= 1e-6
         assert np.abs(report.v[:4, 5:]).max() <= 1e-12

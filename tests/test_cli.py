@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from laros.cli import main
-from laros.generate import two_block_matrix
+from laros.generate import plant_biclique, two_block_matrix
 from laros.mmio import parse_matrix, write_matrix
 from laros.solver import SolverConfig
 
@@ -80,14 +80,22 @@ class TestSolveCommand:
                     "--theta", "0.5"])
         assert code == 1
 
-    @pytest.mark.parametrize("flag", ["--tol-primal", "--tol-dual",
-                                      "--tol-gap"])
-    def test_zero_tolerance_rejected(self, demo_matrix, capsys, flag):
-        code = run(["solve", "--input", demo_matrix, "--theta", "0.5",
-                    flag, "0"])
-        assert code == 1
-        name = flag[2:].replace("-", "_")
-        assert f"{name} must lie in (0, 1)" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag, want_code, message", [
+        pytest.param("--tol", 1, "tol_primal must lie in (0, 1)", id="--tol"),
+        *(pytest.param(flag, 2, f"unrecognized arguments: {flag} 0", id=flag)
+          for flag in ("--tol-primal", "--tol-dual", "--tol-gap")),
+    ])
+    def test_zero_tolerance_rejected(self, demo_matrix, capsys, flag,
+                                     want_code, message):
+        """``--tol 0`` fails the config check; the per-tolerance flags of
+        earlier releases are refused by the parser, never silently ignored."""
+        try:
+            code = run(["solve", "--input", demo_matrix, "--theta", "0.5",
+                        flag, "0"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == want_code
+        assert message in capsys.readouterr().err
 
     def test_reproducible_records(self, demo_matrix, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
@@ -282,12 +290,16 @@ class TestNmfCommand:
 
 class TestBicliqueCommand:
     def test_recovery_run(self, tmp_path):
-        out = tmp_path / "b.json"
+        out, mtx = tmp_path / "b.json", tmp_path / "b.mtx"
         assert run(["biclique", "--m", "40", "--n", "40", "--M", "10",
                     "--N", "10", "--p-edge", "0.3", "--seed", "7",
-                    "--tol", "1e-7", "--output", str(out)]) == 0
+                    "--tol", "1e-7", "--matrix-output", str(mtx),
+                    "--output", str(out)]) == 0
         record = load(out)
         result = record["result"]
+        assert result["matrix_path"] == str(mtx)
+        assert np.array_equal(parse_matrix(mtx),
+                              plant_biclique(40, 40, 10, 10, 0.3, 7).a)
         assert result["theta"] == pytest.approx(0.1)
         assert result["truth_rows"] == list(range(1, 11))
         assert result["recovered"] == (
@@ -339,7 +351,7 @@ class TestManifest:
     def test_records_the_solver_settings_that_ran(self, demo_matrix,
                                                   tmp_path):
         flags = ["--penalty", "2", "--max-iters", "3000", "--tol", "1e-6",
-                 "--tol-gap", "1e-5", "--support-tol", "1e-5"]
+                 "--support-tol", "1e-5"]
         runs = {
             "solve": ["--input", demo_matrix, "--theta", "0.5"],
             "nmf": ["--input", demo_matrix, "--theta", "0.5",
@@ -348,7 +360,7 @@ class TestManifest:
             "biclique": ["--m", "20", "--n", "20", "--M", "6", "--N", "6"],
         }
         want = {"penalty": 2.0, "max_iters": 3000, "tol_primal": 1e-6,
-                "tol_dual": 1e-6, "tol_gap": 1e-5, "support_tol": 1e-5}
+                "tol_dual": 1e-6, "tol_gap": 1e-6, "support_tol": 1e-5}
         for command, args in runs.items():
             out = tmp_path / f"{command}.json"
             assert run([command] + args + flags + ["--output", str(out)]) == 0

@@ -343,8 +343,13 @@ class TestWarmSvt:
         for step in range(6):
             a = a + 1e-3 * spectrum_matrix(rng, *shape, [1.0], noise=0.0)
             pairs.append((prox(a, 1.0), a))
+            if step == 0:
+                # the cold block of _OVERSAMPLE columns is too narrow for
+                # rank 3: the first call takes the full SVD
+                assert svd_shapes[-1] == shape
+                svd_shapes.clear()
         assert prox.rank == 3
-        assert shape not in svd_shapes  # no call needed the full SVD
+        assert shape not in svd_shapes  # no warm call needed the full SVD
         for out, a in pairs:
             close_to_svt(out, a, 1.0)
 
@@ -355,6 +360,9 @@ class TestWarmSvt:
         first = spectrum_matrix(rng, *shape, [6.0, 5.0, 4.0, 3.0])
         prox(first, 1.0)
         assert prox.rank == 4
+        # the cold call's block was too narrow for rank 4
+        assert svd_shapes[-1] == shape
+        svd_shapes.clear()
         # unrelated matrix of rank 1 above tau: the stale basis spans the
         # wrong subspace and is three columns too wide
         second = spectrum_matrix(rng, *shape, [4.0, 0.5])
@@ -370,16 +378,22 @@ class TestWarmSvt:
         low = spectrum_matrix(rng, *shape, [3.0])
         out_low = prox(low, 1.0)
         assert prox.rank == 1
+        assert shape not in svd_shapes
         # rank 12 exceeds the warm block (1 + _OVERSAMPLE columns): the
-        # block grows twice, and stays below min(m, n)/4
+        # call takes the full SVD, once
         sigmas = np.linspace(8.0, 2.0, 12)
         high = spectrum_matrix(rng, *shape, sigmas)
-        assert 1 + 2 * linalg._RANK_STEP < 12 < min(shape) / 4 \
-            - linalg._RANK_STEP
         out_high = prox(high, 1.0)
-        assert shape not in svd_shapes
+        assert svd_shapes.count(shape) == 1
+        assert prox.rank == 12
+        # the next call starts warm at rank 12, below min(m, n)/4
+        assert 12 + linalg._OVERSAMPLE < min(shape) / 4
+        nearby = high + 1e-3 * spectrum_matrix(rng, *shape, [1.0], noise=0.0)
+        out_nearby = prox(nearby, 1.0)
+        assert svd_shapes.count(shape) == 1
         close_to_svt(out_low, low, 1.0)
         close_to_svt(out_high, high, 1.0)
+        close_to_svt(out_nearby, nearby, 1.0)
         assert prox.rank == 12
 
     @pytest.mark.parametrize("shape", SHAPES + [(480, 480)])
@@ -433,21 +447,6 @@ class TestWarmSvt:
         assert prox.rank == 2
         close_to_svt(out, second, 1.0)
 
-    def test_rank_jump_grows_by_rank_step(self, svd_shapes):
-        # from rank 1 to 30 the block grows 3, 8, ..., 33: six growth
-        # sweeps, within the sweep budget; growing by the two oversampling
-        # columns instead would need fourteen and fall back
-        shape = (480, 480)
-        rng = np.random.default_rng(37)
-        prox = linalg._WarmSvt(shape)
-        prox(spectrum_matrix(rng, *shape, [3.0]), 1.0)
-        assert prox.rank == 1
-        high = spectrum_matrix(rng, *shape, np.linspace(9.0, 3.0, 30))
-        out = prox(high, 1.0)
-        assert shape not in svd_shapes
-        assert prox.rank == 30
-        close_to_svt(out, high, 1.0)
-
     @pytest.mark.parametrize("shape", SHAPES)
     def test_tau_at_or_above_top_singular_value(self, shape):
         rng = np.random.default_rng(33)
@@ -468,12 +467,19 @@ class TestWarmSvt:
     def test_fallback_at_quarter_dimension(self, shape, svd_shapes):
         rng = np.random.default_rng(34)
         prox = linalg._WarmSvt(shape)
-        rank = int(min(shape) / 4) + 2
+        # the warm block after this rank, rank + _OVERSAMPLE columns, is
+        # exactly min(m, n)/4
+        rank = min(shape) // 4 - linalg._OVERSAMPLE
         a = spectrum_matrix(rng, *shape, np.linspace(9.0, 3.0, rank))
+        prox(a, 1.0)  # the cold block is too narrow: the full SVD
+        assert prox.rank == rank
+        svd_shapes.clear()
+        state = prox.rng.bit_generator.state
         left, right = prox(a, 1.0)
-        # the block grew to min(m, n)/4 and the call took the full SVD,
-        # whose output is exactly svt's
-        assert svd_shapes[-1] == shape
+        # the capped call takes the full SVD, whose output is exactly
+        # svt's, before any thin product: it draws no random column
+        assert svd_shapes == [shape]
+        assert prox.rng.bit_generator.state == state
         assert np.array_equal(left @ right, svt(a, 1.0))
         assert prox.rank == rank
         # the next call's block less its fresh column: rank +

@@ -6,7 +6,7 @@ import pytest
 from laros.analysis import BlockSelector
 from laros.generate import two_block_matrix
 from laros.nmf import greedy_extract, residual_update
-from laros.solver import SolverConfig
+from laros.solver import ConvergenceError, SolverConfig
 
 
 def tight():
@@ -110,6 +110,31 @@ class TestGreedyExtract:
         a = np.ones((3, 3))
         with pytest.raises(ValueError):
             greedy_extract(a, 2, [0.1, 0.2, 0.3], tight())
+
+    def test_unconverged_round_raises(self):
+        config = SolverConfig(theta=0.0, max_iters=1)
+        with pytest.raises(ConvergenceError,
+                           match=r"^round 1: solver stopped at iteration 1 "
+                                 r"with residuals primal=\S+ dual=\S+ "
+                                 r"certificate=\S+$"):
+            greedy_extract(two_block_matrix(), 2, 0.5, config)
+
+    @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600, 1e200,
+                                       1e-200, 1e300, 1e-300],
+                             ids=["2^600", "2^-600", "1e200", "1e-200",
+                                  "1e300", "1e-300"])
+    def test_input_scale(self, scale):
+        # the problem is homogeneous in a: the supports are those at scale
+        # 1, and the residual norms scale with a
+        a = two_block_matrix()
+        ref = greedy_extract(a, 2, 0.5, tight())
+        res = greedy_extract(scale * a, 2, 0.5, tight())
+        assert res.extracted == ref.extracted == 2
+        for got, want in zip(res.supports, ref.supports):
+            assert np.array_equal(got.rows, want.rows)
+            assert np.array_equal(got.cols, want.cols)
+        np.testing.assert_allclose(res.residual_norms / scale,
+                                   ref.residual_norms, rtol=1e-14, atol=0)
 
     def test_per_round_schedule_accepted(self):
         rng = np.random.default_rng(6)

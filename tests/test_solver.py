@@ -1,8 +1,11 @@
 """Tests for the splitting solver, dual norm, certificates, and the
 optimality checker."""
 
+import inspect
 import math
+import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -651,6 +654,26 @@ def blocked_prox(prox, w):
     return prox.mu, x2, z / solver_module._RELAX
 
 
+def lines_run(func, call):
+    """The line numbers of `func` (a function) that ran during call()."""
+    code, ran = func.__code__, set()
+
+    def tracer(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            ran.add(frame.f_lineno)
+        return tracer
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        call()
+    finally:
+        sys.settrace(previous)
+    return ran
+
+
 class TestL1HalfspaceProx:
     """The solver's prox of theta*||.||_1 + indicator{<A, .> >= 1} (a
     Newton and secant root find over row blocks) against the sort-based
@@ -734,6 +757,29 @@ class TestL1HalfspaceProx:
         rng = np.random.default_rng(53)
         self.check(a, w + 1e-4 * np.abs(w).max()
                    * rng.standard_normal(w.shape), t, prox)
+
+    @pytest.mark.parametrize("seed", [7, 35, 48])
+    def test_bisection_from_stale_start(self, seed):
+        # a stale root and a slope far below h's own send a step out of
+        # the bracket [lo, hi], where the root find bisects: about one
+        # root find in fifteen on these small nonnegative instances
+        call = solver_module._GProx.__call__
+        source, first = inspect.getsourcelines(call)
+        bisect = first + next(i for i, line in enumerate(source)
+                              if "nxt = 0.5 * (lo + hi)" in line)
+        rng = np.random.default_rng(seed)
+        bisected = 0
+        for _ in range(5):
+            shape = tuple(int(d) for d in rng.integers(2, 9, size=2))
+            a = rng.random(shape)
+            w = rng.uniform(0.01, 1.0) * rng.standard_normal(shape)
+            t = float(rng.uniform(0.01, 0.5))
+            prox = solver_module._GProx(a, t)
+            prox.mu = float(rng.uniform(0.0, 3.0))
+            prox.slope = float(np.vdot(a, a)) * 10 ** rng.uniform(-3, 0)
+            ran = lines_run(call, partial(self.check, a, w, t, prox))
+            bisected += bisect in ran
+        assert bisected
 
 
 class TestPenaltyDefault:
