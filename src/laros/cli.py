@@ -21,7 +21,7 @@ from .analysis import (BlockSelector, row_zero_thresholds, theta_A,
 from .generate import (NOISE_FAMILIES, PlantedModel, plant_biclique,
                        plant_rank_one, two_block_matrix)
 from .linalg import theta_norm
-from .mmio import (FORMATS, MatrixParseError, parse_matrix, read_certificate,
+from .mmio import (MatrixParseError, parse_matrix, read_certificate,
                    write_certificate, write_matrix)
 from .nmf import greedy_extract
 from .solver import (CertificateUnavailableError, ConvergenceError,
@@ -75,10 +75,10 @@ def _add_solver_flags(sub):
                      default=_CONFIG_DEFAULTS["support_tol"])
 
 
-def _add_io_flags(sub):
-    sub.add_argument("--input", required=True, help="matrix file to read")
-    sub.add_argument("--format", choices=FORMATS, default=None,
-                     help="input format (default: detect from header)")
+def _add_input_flag(sub):
+    sub.add_argument("--input", required=True,
+                     help="matrix file to read: MatrixMarket array or "
+                          "coordinate, or headerless CSV")
 
 
 def _add_size_flags(sub, side, block_side):
@@ -89,7 +89,7 @@ def _add_size_flags(sub, side, block_side):
 
 
 def _cmd_solve(args):
-    a = parse_matrix(args.input, args.format)
+    a = parse_matrix(args.input)
     config = _solver_config(args, args.theta)
     sol = solve(a, config)
     result = {
@@ -141,7 +141,7 @@ def _cmd_thresholds(args):
         block = BlockSelector(
             rows=np.array(_parse_index_list(args.rows, "--rows")),
             cols=np.array(_parse_index_list(args.cols, "--cols")))
-    a = parse_matrix(args.input, args.format)
+    a = parse_matrix(args.input)
     result = {"theta_A": theta_A(a)}
     if block is not None:
         tb = theta_B(a, block)
@@ -176,7 +176,7 @@ def _cmd_plant(args):
 
 
 def _cmd_certify(args):
-    a = parse_matrix(args.input, args.format)
+    a = parse_matrix(args.input)
     x = parse_matrix(args.solution)
     if x.shape != a.shape:
         raise ValueError(f"{args.solution}: solution has shape {x.shape}, "
@@ -194,7 +194,7 @@ def _cmd_certify(args):
 
 
 def _cmd_nmf(args):
-    a = parse_matrix(args.input, args.format)
+    a = parse_matrix(args.input)
     thetas = [float(t) for t in args.theta.split(",")]
     theta = thetas[0] if len(thetas) == 1 else thetas
     config = _solver_config(args, thetas[0])
@@ -264,7 +264,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("solve", help="solve the relaxation for a matrix")
-    _add_io_flags(p)
+    _add_input_flag(p)
     _add_theta_flag(p)
     _add_solver_flags(p)
     p.add_argument("--solution-output", default=None,
@@ -274,7 +274,7 @@ def build_parser():
     p.set_defaults(func=_cmd_solve)
 
     p = subs.add_parser("thresholds", help="closed-form theta thresholds")
-    _add_io_flags(p)
+    _add_input_flag(p)
     p.add_argument("--rows", default=None,
                    help="1-based row indices of a candidate block, comma-separated")
     p.add_argument("--cols", default=None,
@@ -296,7 +296,7 @@ def build_parser():
     p.set_defaults(func=_cmd_plant)
 
     p = subs.add_parser("certify", help="check a solution/certificate pair")
-    _add_io_flags(p)
+    _add_input_flag(p)
     p.add_argument("--solution", required=True, help="solution matrix file")
     p.add_argument("--certificate", required=True, help="certificate JSON")
     _add_theta_flag(p)
@@ -304,7 +304,7 @@ def build_parser():
     p.set_defaults(func=_cmd_certify)
 
     p = subs.add_parser("nmf", help="greedy rank-one factorization")
-    _add_io_flags(p)
+    _add_input_flag(p)
     p.add_argument("--theta", required=True,
                    help="l1 weight, or a comma-separated per-round schedule")
     p.add_argument("--features", type=int, required=True)

@@ -1,20 +1,20 @@
-"""Matrix file I/O: MatrixMarket array and coordinate formats, and
-headerless CSV. Values are written with full double precision so an
-array-format round trip is byte-identical. Also the JSON file format of a
-dual certificate (`write_certificate`, `read_certificate`)."""
+"""Matrix file I/O: reads MatrixMarket array and coordinate files and
+headerless CSV, each told apart by its first line, and writes MatrixMarket
+array files with full double precision, so a round trip is byte-identical.
+Also the JSON file format of a dual certificate (`write_certificate`,
+`read_certificate`), whose fields are those of `DualCertificate`."""
 
 import json
+import math
 import re
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from .linalg import as_matrix
 from .solver import DualCertificate
 
-FORMATS = ("matrixmarket-array", "matrixmarket-coordinate", "csv")
-
 _MM_ARRAY_HEADER = "%%MatrixMarket matrix array real general"
-_MM_COORD_HEADER = "%%MatrixMarket matrix coordinate real general"
 # the line boundaries of str.splitlines
 _LINE_BREAK = re.compile("\r\n|[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
@@ -79,46 +79,39 @@ def _floats(tokens, count):
     return values if np.isfinite(values).all() else None
 
 
-def parse_matrix(path, fmt=None):
+def parse_matrix(path):
     """Read a dense matrix from `path`.
 
-    fmt is one of 'matrixmarket-array', 'matrixmarket-coordinate', 'csv',
-    or None to detect from the file header. MatrixMarket array data is
-    column-major per the format definition; coordinate files use 1-based
-    indices and densify missing entries to zero.
+    The first line picks the format: a MatrixMarket header names array or
+    coordinate data, and a file without one is read as CSV. MatrixMarket
+    array data is column-major per the format definition; coordinate files
+    use 1-based indices and densify missing entries to zero.
 
     Array and CSV values are converted as one token list; only a file that
     fails a check is walked line by line, to name the offending line. The
     array body is tokenized straight from the file's text, which is split
     into lines only for a body with comments or for the error walk.
     """
-    if fmt is not None and fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     if not text:
         raise MatrixParseError(path, 1, "empty file")
 
     first = next(_text_lines(text))[1].strip()
-    if first.startswith("%%MatrixMarket"):
-        header_fmt = _parse_mm_header(first, path)
-        if fmt is not None and fmt != header_fmt:
-            raise MatrixParseError(path, 1,
-                                   f"header declares {header_fmt}, expected {fmt}")
-        if header_fmt == "matrixmarket-array":
-            return _parse_mm_array(text, path)
-        return _parse_mm_coordinate(text, path)
-    if fmt in ("matrixmarket-array", "matrixmarket-coordinate"):
-        raise MatrixParseError(path, 1, "missing MatrixMarket header")
-    return _parse_csv(text.splitlines(), path)
+    if not first.startswith("%%MatrixMarket"):
+        return _parse_csv(text.splitlines(), path)
+    if _mm_layout(first, path) == "array":
+        return _parse_mm_array(text, path)
+    return _parse_mm_coordinate(text, path)
 
 
-def _parse_mm_header(line, path):
+def _mm_layout(line, path):
+    """'array' or 'coordinate', from a MatrixMarket header line."""
     tokens = line.split()
     if len(tokens) < 5 or tokens[1] != "matrix" or tokens[3] != "real" \
             or tokens[4] != "general" or tokens[2] not in ("array", "coordinate"):
         raise MatrixParseError(path, 1, f"unsupported MatrixMarket header {line!r}")
-    return f"matrixmarket-{tokens[2]}"
+    return tokens[2]
 
 
 def _size_line(text, path, fields):
@@ -229,63 +222,57 @@ def _raise_csv_error(lines, path, width):
     raise AssertionError("unreachable: every CSV row and field is valid")
 
 
-def write_matrix(path, a, fmt="matrixmarket-array"):
-    """Write `a` to `path` in the given format (full double precision)."""
+def write_matrix(path, a):
+    """Write `a` to `path` as a MatrixMarket array file (full double
+    precision)."""
     am = as_matrix(a)
     m, n = am.shape
-    if fmt == "matrixmarket-array":
-        chunks = [_MM_ARRAY_HEADER, f"{m} {n}"]
-        chunks.extend(map(repr, am.T.ravel().tolist()))  # column-major
-    elif fmt == "matrixmarket-coordinate":
-        ii, jj = np.nonzero(am)
-        chunks = [_MM_COORD_HEADER, f"{m} {n} {ii.size}"]
-        chunks.extend(f"{i + 1} {j + 1} {v!r}" for i, j, v in
-                      zip(ii.tolist(), jj.tolist(), am[ii, jj].tolist()))
-    elif fmt == "csv":
-        chunks = [",".join(map(repr, row)) for row in am.tolist()]
-    else:
-        raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
+    chunks = [_MM_ARRAY_HEADER, f"{m} {n}"]
+    chunks.extend(map(repr, am.T.ravel().tolist()))  # column-major
     with open(path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(chunks))
         handle.write("\n")
 
 
-# in sort_keys order; "y" and "z" sort after them
-_CERT_SCALARS = ("alpha", "beta", "dual_norm", "lambda_star",
-                 "linf_argmax_count", "spectral_gap")
-_CERT_DEFAULTS = {"spectral_gap": 0.0, "linf_argmax_count": 0}
+# json.dump's sort_keys order: the scalars, then "y" and "z"
+_CERT_KEYS = sorted(fields(DualCertificate), key=lambda f: f.name)
 
 
 def write_certificate(path, cert):
     """Write a `DualCertificate` as JSON.
 
     The bytes are those of ``json.dump(record, indent=2, sort_keys=True)``
-    plus a newline, with record the scalars and the nested row lists of
-    `y` and `z`; the matrices are written one row at a time.
+    plus a newline, with record the certificate's fields, the matrices `y`
+    and `z` as nested row lists; they are written one row at a time.
     """
     with open(path, "w", encoding="utf-8") as handle:
-        handle.write("{\n")
-        for key in _CERT_SCALARS:
-            handle.write(f'  "{key}": {json.dumps(getattr(cert, key))},\n')
-        for key, close in (("y", "  ],\n"), ("z", "  ]\n")):
-            rows = getattr(cert, key)
-            handle.write(f'  "{key}": [\n')
-            for i, row in enumerate(rows):
+        handle.write("{")
+        sep = "\n"
+        for f in _CERT_KEYS:
+            value = getattr(cert, f.name)
+            handle.write(f'{sep}  "{f.name}": ')
+            sep = ",\n"
+            if f.type is not np.ndarray:
+                handle.write(json.dumps(value))
+                continue
+            handle.write("[\n")
+            for i, row in enumerate(value):
                 items = json.dumps(row.tolist(),
                                    separators=(",\n      ", ": "))
                 handle.write(f"    [\n      {items[1:-1]}\n    ]")
-                handle.write(",\n" if i + 1 < len(rows) else "\n")
-            handle.write(close)
-        handle.write("}\n")
+                handle.write(",\n" if i + 1 < len(value) else "\n")
+            handle.write("  ]")
+        handle.write("\n}\n")
 
 
 def read_certificate(path, shape):
     """Read a `write_certificate` file as a `DualCertificate`.
 
     Raises ValueError naming the file and the field when the file is not a
-    JSON object, a field is missing or not numeric, or `y` or `z` is not a
-    matrix of `shape` (the shape of A). `spectral_gap` and
-    `linf_argmax_count` default to 0.
+    JSON object, a field is missing, not numeric or not finite, or `y` or
+    `z` is not a matrix of `shape` (the shape of A). A field with a default
+    in `DualCertificate` (`spectral_gap`, `linf_argmax_count`) may be
+    missing.
     """
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -296,27 +283,31 @@ def read_certificate(path, shape):
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: certificate must be a JSON object")
 
-    def field(key, convert, what="a number"):
-        if key not in raw and key not in _CERT_DEFAULTS:
-            raise ValueError(f"{path}: certificate field {key!r} is missing")
+    values = {}
+    for f in fields(DualCertificate):
+        key = f.name
+        if key not in raw:
+            if f.default is MISSING:
+                raise ValueError(f"{path}: certificate field {key!r} is "
+                                 "missing")
+            continue  # DualCertificate's default
+        is_matrix = f.type is np.ndarray
         try:
-            return convert(raw.get(key, _CERT_DEFAULTS.get(key)))
-        except (TypeError, ValueError):
+            if is_matrix:
+                value = np.array(raw[key], dtype=float)
+                finite = np.isfinite(value).all()
+            else:
+                value = f.type(raw[key])
+                finite = math.isfinite(value)
+        except (TypeError, ValueError, OverflowError):
+            what = "a numeric matrix" if is_matrix else "a number"
             raise ValueError(f"{path}: certificate field {key!r} is not "
                              f"{what}") from None
-
-    def matrix(key):
-        value = field(key, lambda v: np.array(v, dtype=float),
-                      "a numeric matrix")
-        if value.shape != tuple(shape):
+        if is_matrix and value.shape != tuple(shape):
             raise ValueError(f"{path}: certificate field {key!r} has shape "
                              f"{value.shape}, expected {tuple(shape)}")
-        return value
-
-    return DualCertificate(
-        y=matrix("y"), z=matrix("z"),
-        alpha=field("alpha", float), beta=field("beta", float),
-        dual_norm=field("dual_norm", float),
-        lambda_star=field("lambda_star", float),
-        spectral_gap=field("spectral_gap", float),
-        linf_argmax_count=field("linf_argmax_count", int))
+        if not finite:
+            raise ValueError(f"{path}: certificate field {key!r} is not "
+                             "finite")
+        values[key] = value
+    return DualCertificate(**values)

@@ -89,7 +89,10 @@ class DualCertificate:
     at optimality it equals the dual norm of A. The diagnostics spectral_gap
     (sigma_1 - sigma_2 of Y) and linf_argmax_count (multiplicity of the
     entrywise max of |Z|) indicate, without proving, whether the primal
-    optimizer is unique.
+    optimizer is unique; they default to 0, as in a certificate file
+    written without them.
+
+    These fields are the certificate file's schema (`laros.mmio`).
     """
 
     y: np.ndarray
@@ -98,8 +101,8 @@ class DualCertificate:
     beta: float
     dual_norm: float
     lambda_star: float
-    spectral_gap: float
-    linf_argmax_count: int
+    spectral_gap: float = 0.0
+    linf_argmax_count: int = 0
 
 
 @dataclass
@@ -141,9 +144,14 @@ class OptimalityReport:
 
     @property
     def max_residual(self):
-        return max(self.balance, self.nuclear_alignment, self.l1_alignment,
-                   self.scalar_sum, self.normalization, self.decomposition,
-                   self.gap)
+        """The largest residual; NaN if any residual is NaN."""
+        residuals = (self.balance, self.nuclear_alignment, self.l1_alignment,
+                     self.scalar_sum, self.normalization, self.decomposition,
+                     self.gap)
+        # Python's max skips a NaN that is not its first argument
+        if any(map(math.isnan, residuals)):
+            return math.nan
+        return max(residuals)
 
     def passed(self, tol):
         return self.max_residual <= tol
@@ -526,10 +534,15 @@ def check_optimality(a, theta, x, cert):
     x lies in the scaled subdifferentials of ||Y|| and ||Z||_inf; (scalars)
     alpha + theta*beta = 1; (normalization) ||x||_theta = 1. At theta = 0
     the balance residual degenerates to ||Z||_inf, which must vanish.
+    Raises ValueError when x, cert.y or cert.z is not of a's shape.
     """
     am = as_matrix(a)
     xm = as_matrix(x)
     y, z = as_matrix(cert.y), as_matrix(cert.z)
+    for name, value in (("x", xm), ("cert.y", y), ("cert.z", z)):
+        if value.shape != am.shape:
+            raise ValueError(f"{name} has shape {value.shape}, expected "
+                             f"{am.shape} (the shape of a)")
     ny = norm(y, "spectral")
     nz = norm(z, "linf")
     d_z = nz / theta if theta > 0 else ny

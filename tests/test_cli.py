@@ -97,6 +97,17 @@ class TestSolveCommand:
         assert code == want_code
         assert message in capsys.readouterr().err
 
+    def test_malformed_matrix_names_line(self, tmp_path, capsys):
+        path = tmp_path / "c.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                        "2 2 2\n1 1 5\n2 2\n")
+        out = tmp_path / "r.json"
+        assert run(["solve", "--input", str(path), "--theta", "0.5",
+                    "--output", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"laros solve: {path}:4: entry must be 'i j value', got '2 2'\n")
+        assert not out.exists()
+
     def test_reproducible_records(self, demo_matrix, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = ["solve", "--input", demo_matrix, "--theta", "0.5"]
@@ -111,7 +122,7 @@ class TestSolveCommand:
 class TestThresholdsCommand:
     def test_diag(self, tmp_path):
         path = tmp_path / "d.csv"
-        write_matrix(path, np.diag([2.0, 1.0]), "csv")
+        path.write_text("2.0,0.0\n0.0,1.0\n")
         out = tmp_path / "t.json"
         assert run(["thresholds", "--input", str(path),
                     "--output", str(out)]) == 0
@@ -249,6 +260,23 @@ class TestCertifyChecksFiles:
         assert self._certify(demo_matrix, xout, cout, tmp_path) == 1
         assert capsys.readouterr().err == (
             f"laros certify: {cout}: certificate field 'alpha' is missing\n")
+
+    @pytest.mark.parametrize("key", ["alpha", "z"])
+    def test_non_finite_field(self, demo_matrix, solved, tmp_path, capsys,
+                              key):
+        # json writes and reads NaN and Infinity; before this check a NaN
+        # alpha passed certify with "scalar_sum": NaN in the record
+        xout, cout = solved
+        cert = load(cout)
+        if key == "alpha":
+            cert["alpha"] = float("nan")
+        else:
+            cert["z"][2][3] = float("inf")
+        cout.write_text(json.dumps(cert))
+        assert self._certify(demo_matrix, xout, cout, tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"laros certify: {cout}: certificate field {key!r} is not "
+            "finite\n")
 
     @pytest.mark.parametrize("key", ["y", "z"])
     def test_certificate_shape(self, demo_matrix, solved, tmp_path, capsys,

@@ -38,12 +38,6 @@ class TestParseArray:
             parse_matrix(path)
         assert err.value.line == 4
 
-    def test_format_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "a.mtx"
-        path.write_text("%%MatrixMarket matrix array real general\n1 1\n2\n")
-        with pytest.raises(MatrixParseError):
-            parse_matrix(path, "matrixmarket-coordinate")
-
 
 class TestParseCoordinate:
     def test_densified(self, tmp_path):
@@ -97,6 +91,33 @@ class TestParseCsv:
             parse_matrix(path)
 
 
+class TestRejections:
+    """Each remaining rejection names its line and says what is wrong."""
+
+    @pytest.mark.parametrize("name, text, line, message", [
+        ("a.mtx", "", 1, "empty file"),
+        ("a.mtx", "%%MatrixMarket matrix array complex general\n1 1\n1\n", 1,
+         "unsupported MatrixMarket header "
+         "'%%MatrixMarket matrix array complex general'"),
+        ("c.mtx", "%%MatrixMarket matrix coordinate real general\n"
+                  "% size next\n2 0 1\n1 1 5\n", 3, "bad size line '2 0 1'"),
+        ("c.mtx", "%%MatrixMarket matrix coordinate real general\n"
+                  "2 2 -1\n", 2, "bad size line '2 2 -1'"),
+        ("c.mtx", "%%MatrixMarket matrix coordinate real general\n"
+                  "2 2 2\n1 1 5\n\n2 2\n", 5,
+         "entry must be 'i j value', got '2 2'"),
+        ("m.csv", "% only a comment\n\n", 3, "no data rows")],
+        ids=["empty", "mm-header", "coordinate-size", "coordinate-nnz",
+             "coordinate-entry", "csv-no-rows"])
+    def test_rejected(self, tmp_path, name, text, line, message):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix(path)
+        assert (err.value.path, err.value.line) == (str(path), line)
+        assert err.value.message == message
+
+
 class TestRoundTrip:
     def test_array_bit_identical(self, tmp_path):
         p1, p2 = tmp_path / "m1.mtx", tmp_path / "m2.mtx"
@@ -115,14 +136,18 @@ class TestRoundTrip:
         a = np.zeros((3, 4))
         a[0, 1] = 2.5
         a[2, 3] = -1.25
+        ii, jj = np.nonzero(a)
         path = tmp_path / "c.mtx"
-        write_matrix(path, a, "matrixmarket-coordinate")
+        path.write_text("\n".join(
+            ["%%MatrixMarket matrix coordinate real general", f"3 4 {ii.size}",
+             *(f"{i + 1} {j + 1} {float(a[i, j])!r}" for i, j in zip(ii, jj))]))
         np.testing.assert_array_equal(parse_matrix(path), a)
 
     def test_csv_round_trip(self, tmp_path):
         a = np.random.default_rng(0).random((4, 3))
         path = tmp_path / "m.csv"
-        write_matrix(path, a, "csv")
+        path.write_text("\n".join(",".join(map(repr, row))
+                                  for row in a.tolist()))
         assert (parse_matrix(path) == a).all()
 
 
@@ -307,7 +332,19 @@ class TestCertificateFile:
         (lambda r: r.update(y=[[1, 2, 3], [4, 5, 6]]),
          "certificate field 'y' has shape (2, 3), expected (2, 2)"),
         (lambda r: r.update(z=4.0),
-         "certificate field 'z' has shape (), expected (2, 2)")])
+         "certificate field 'z' has shape (), expected (2, 2)"),
+        (lambda r: r.update(lambda_star=10 ** 400),
+         "certificate field 'lambda_star' is not a number"),
+        (lambda r: r.update(linf_argmax_count=float("inf")),
+         "certificate field 'linf_argmax_count' is not a number"),
+        (lambda r: r.update(alpha=float("nan")),
+         "certificate field 'alpha' is not finite"),
+        (lambda r: r.update(spectral_gap=float("-inf")),
+         "certificate field 'spectral_gap' is not finite"),
+        (lambda r: r["y"][1].__setitem__(0, float("nan")),
+         "certificate field 'y' is not finite"),
+        (lambda r: r["z"][0].__setitem__(1, float("inf")),
+         "certificate field 'z' is not finite")])
     def test_malformed_field_named(self, tmp_path, edit, message):
         path = tmp_path / "cert.json"
         record = _record(_certificate(np.random.default_rng(0), (2, 2)))

@@ -4,7 +4,7 @@ optimality checker."""
 import inspect
 import math
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import partial
 
 import numpy as np
@@ -16,8 +16,9 @@ from laros.generate import (PlantedModel, plant_biclique, plant_rank_one,
                             two_block_matrix)
 from laros.linalg import norm, svd, theta_norm
 from laros.solver import (CertificateUnavailableError, DualCertificate,
-                          SolverConfig, check_optimality, dual_theta_norm,
-                          extract_rank_one, recover_dual, solve)
+                          OptimalityReport, SolverConfig, check_optimality,
+                          dual_theta_norm, extract_rank_one, recover_dual,
+                          solve)
 
 from oracles import dr2_residuals, dual_norm_oracle, l1_halfspace_prox
 
@@ -214,6 +215,46 @@ class TestCheckOptimality:
                                spectral_gap=0.0, linf_argmax_count=2)
         report = check_optimality(a, 0.7, a, cert)
         assert report.max_residual > 0
+
+    def test_nan_alpha_fails(self):
+        # the singleton hand certificate with alpha NaN: only scalar_sum is
+        # NaN, and Python's max would skip it after the first argument
+        c = 3.0
+        cert = DualCertificate(y=np.array([[c / 2]]), z=np.array([[c / 2]]),
+                               alpha=math.nan, beta=0.5, dual_norm=c / 2,
+                               lambda_star=2 / c)
+        report = check_optimality(np.array([[c]]), 1.0, np.array([[0.5]]),
+                                  cert)
+        assert math.isnan(report.scalar_sum)
+        assert math.isnan(report.max_residual)
+        assert not report.passed(1e-6)
+
+    @pytest.mark.parametrize("field",
+                             [f.name for f in fields(OptimalityReport)])
+    def test_any_nan_residual_fails(self, field):
+        report = OptimalityReport(**{f.name: math.nan if f.name == field
+                                     else 0.0
+                                     for f in fields(OptimalityReport)})
+        assert math.isnan(report.max_residual)
+        assert not report.passed(1e-6)
+
+    def test_shape_mismatch_rejected(self):
+        b = np.random.default_rng(9).random((2, 3))
+        cert = DualCertificate(y=b / 2, z=b / 2, alpha=0.5, beta=0.5,
+                               dual_norm=1.0, lambda_star=1.0)
+        # np.vdot flattens, so a transposed candidate used to be scored
+        with pytest.raises(ValueError) as err:
+            check_optimality(b, 0.5, b.T, cert)
+        assert str(err.value) == ("x has shape (3, 2), expected (2, 3) "
+                                  "(the shape of a)")
+        a = b[:1]
+        for x, c, name in ((b, replace(cert, y=a / 2, z=a / 2), "x"),
+                           (a, replace(cert, z=a / 2), "cert.y"),
+                           (a, replace(cert, y=a / 2), "cert.z")):
+            with pytest.raises(ValueError) as err:
+                check_optimality(a, 0.5, x, c)
+            assert str(err.value) == (f"{name} has shape (2, 3), expected "
+                                      "(1, 3) (the shape of a)")
 
 
 class TestRecoverDual:
@@ -684,7 +725,13 @@ class TestL1HalfspaceProx:
         prox = prox or solver_module._GProx(a, t)
         mu, x2, added = blocked_prox(prox, w)
         mu_ref, x2_ref = l1_halfspace_prox(w, a, t)
-        assert mu == pytest.approx(mu_ref, rel=1e-14, abs=0)
+        # h is piecewise linear: rounding of about eps * sum|A x2| in h
+        # fixes its root only to that over h's slope at the root, the sum
+        # of A^2 where w + mu A is not thresholded to zero
+        eps = np.finfo(float).eps
+        slope = float((a * a)[np.abs(w + mu_ref * a) > t].sum())
+        spread = float(np.abs(a * x2_ref).sum()) / slope
+        assert abs(mu - mu_ref) <= 8 * eps * (spread + mu_ref)
         scale = np.abs(x2_ref).max()
         np.testing.assert_allclose(x2, x2_ref, rtol=0, atol=1e-14 * scale)
         # z holds x2 once; each pass taken back out leaves rounding of its
@@ -694,7 +741,6 @@ class TestL1HalfspaceProx:
             atol=1e-13 * max(np.abs(w).max(), np.abs(x2).max()))
         # feasible to a few ulps in every case, mu = 0 included: the
         # certificate check normalizes x2 by <A, x2> without a fallback
-        eps = np.finfo(float).eps
         gain = math.fsum((a * x2).ravel())
         assert gain >= 1.0 - 4 * eps
         if mu > 0:
@@ -758,6 +804,21 @@ class TestL1HalfspaceProx:
         self.check(a, w + 1e-4 * np.abs(w).max()
                    * rng.standard_normal(w.shape), t, prox)
 
+    @staticmethod
+    def stale_draws(seed):
+        """Five small nonnegative instances (a, w, t, prox), each prox
+        holding a stale root and a slope far below h's own."""
+        rng = np.random.default_rng(seed)
+        for _ in range(5):
+            shape = tuple(int(d) for d in rng.integers(2, 9, size=2))
+            a = rng.random(shape)
+            w = rng.uniform(0.01, 1.0) * rng.standard_normal(shape)
+            t = float(rng.uniform(0.01, 0.5))
+            prox = solver_module._GProx(a, t)
+            prox.mu = float(rng.uniform(0.0, 3.0))
+            prox.slope = float(np.vdot(a, a)) * 10 ** rng.uniform(-3, 0)
+            yield a, w, t, prox
+
     @pytest.mark.parametrize("seed", [7, 35, 48])
     def test_bisection_from_stale_start(self, seed):
         # a stale root and a slope far below h's own send a step out of
@@ -767,19 +828,21 @@ class TestL1HalfspaceProx:
         source, first = inspect.getsourcelines(call)
         bisect = first + next(i for i, line in enumerate(source)
                               if "nxt = 0.5 * (lo + hi)" in line)
-        rng = np.random.default_rng(seed)
         bisected = 0
-        for _ in range(5):
-            shape = tuple(int(d) for d in rng.integers(2, 9, size=2))
-            a = rng.random(shape)
-            w = rng.uniform(0.01, 1.0) * rng.standard_normal(shape)
-            t = float(rng.uniform(0.01, 0.5))
-            prox = solver_module._GProx(a, t)
-            prox.mu = float(rng.uniform(0.0, 3.0))
-            prox.slope = float(np.vdot(a, a)) * 10 ** rng.uniform(-3, 0)
+        for a, w, t, prox in self.stale_draws(seed):
             ran = lines_run(call, partial(self.check, a, w, t, prox))
             bisected += bisect in ran
         assert bisected
+
+    def test_small_root(self):
+        # the third draw of seed 0 (which never bisects): a 7x5 instance
+        # whose root 1.14e-3 a cold and a stale start find 4e-14 and 2e-14
+        # relative from the oracle's, within what rounding in h allows
+        a, w, t, prox = list(self.stale_draws(0))[2]
+        assert a.shape == (7, 5)
+        cold = self.check(a, w, t)
+        assert cold.mu == pytest.approx(1.14e-3, rel=1e-2)
+        self.check(a, w, t, prox)
 
 
 class TestPenaltyDefault:
