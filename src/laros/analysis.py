@@ -143,10 +143,12 @@ class RowRatioReport:
 
     @property
     def max_residual(self):
-        parts = [p.max() if p.size else 0.0
-                 for p in (self.row_in_support, self.row_zero,
-                           self.col_in_support, self.col_zero)]
-        return float(max(parts))
+        """The largest residual, 0 with none; NaN if any residual is NaN."""
+        parts = (self.row_in_support, self.row_zero, self.col_in_support,
+                 self.col_zero)
+        # np.max propagates a NaN, where Python's max skips one that is
+        # not its first argument
+        return float(np.max(np.concatenate(parts), initial=0.0))
 
 
 def row_ratio_check(a, sol, theta, dual_norm):

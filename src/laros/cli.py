@@ -183,6 +183,9 @@ def _cmd_certify(args):
                          f"expected {a.shape} (the shape of {args.input})")
     cert = read_certificate(args.certificate, a.shape)
     scale = theta_norm(x, args.theta)
+    if scale == 0.0:
+        raise ValueError(f"{args.solution}: solution has theta-norm 0 (it "
+                         "is all zeros), so it cannot be scaled to norm 1")
     report = check_optimality(a, args.theta, x / scale, cert)
     result = {**asdict(report), "max_residual": report.max_residual,
               "passed": report.passed(args.residual_tol),

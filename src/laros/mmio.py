@@ -269,8 +269,9 @@ def read_certificate(path, shape):
     """Read a `write_certificate` file as a `DualCertificate`.
 
     Raises ValueError naming the file and the field when the file is not a
-    JSON object, a field is missing, not numeric or not finite, or `y` or
-    `z` is not a matrix of `shape` (the shape of A). A field with a default
+    JSON object, a field is missing, not numeric or not finite,
+    `linf_argmax_count` is not a nonnegative integer, or `y` or `z` is not
+    a matrix of `shape` (the shape of A). A field with a default
     in `DualCertificate` (`spectral_gap`, `linf_argmax_count`) may be
     missing.
     """
@@ -309,5 +310,9 @@ def read_certificate(path, shape):
         if not finite:
             raise ValueError(f"{path}: certificate field {key!r} is not "
                              "finite")
+        if f.type is int and (value != raw[key] or value < 0):
+            # a count; int() alone would read -2.5 as -2
+            raise ValueError(f"{path}: certificate field {key!r} is not a "
+                             "nonnegative integer")
         values[key] = value
     return DualCertificate(**values)

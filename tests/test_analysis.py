@@ -6,11 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from laros.analysis import (BlockSelector, build_planted_certificate,
-                            row_ratio_check, row_zero_threshold,
-                            row_zero_thresholds, subgaussian_tail_bound,
-                            theta_A, theta_B, top_block,
-                            validate_planted_regime)
+from laros.analysis import (BlockSelector, RowRatioReport,
+                            build_planted_certificate, row_ratio_check,
+                            row_zero_threshold, row_zero_thresholds,
+                            subgaussian_tail_bound, theta_A, theta_B,
+                            top_block, validate_planted_regime)
 from laros.generate import PlantedModel, plant_rank_one, two_block_matrix
 from laros.solver import SolverConfig, solve
 
@@ -188,6 +188,11 @@ class TestRowRatioCheck:
         wide.sigma = 1.0
         with pytest.raises(ValueError):
             row_ratio_check(a, wide, 0.5, dual_norm=1.0)
+
+    def test_nan_part_gives_nan(self):
+        # Python's max would skip a NaN that is not its first argument
+        report = RowRatioReport([0.0], [math.nan], [0.0], [0.0], 1.0)
+        assert math.isnan(report.max_residual)
 
 
 class TestSubgaussianTailBound:

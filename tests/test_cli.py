@@ -298,6 +298,16 @@ class TestCertifyChecksFiles:
             f"laros certify: {xout}: solution has shape (2, 3), expected "
             f"(6, 6) (the shape of {demo_matrix})\n")
 
+    def test_zero_solution(self, demo_matrix, solved, tmp_path, capsys):
+        # before this check, x / 0 failed as "matrix entries must be
+        # finite", naming neither the file nor the cause
+        xout, cout = solved
+        write_matrix(xout, np.zeros((6, 6)))
+        assert self._certify(demo_matrix, xout, cout, tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"laros certify: {xout}: solution has theta-norm 0 (it is all "
+            "zeros), so it cannot be scaled to norm 1\n")
+
 
 class TestNmfCommand:
     def test_two_rounds(self, demo_matrix, tmp_path):

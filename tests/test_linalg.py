@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laros import linalg
+from laros import solver as solver_module
+from laros.generate import two_block_matrix
 from laros.linalg import (linf_subgrad, norm, project_halfspace,
                           soft_threshold, spectral_subgrad, svd, svt,
                           theta_norm)
+from laros.solver import SolverConfig, solve
 
 from oracles import halfspace_distance_oracle, svt_value_oracle
 
@@ -496,6 +499,91 @@ class TestWarmSvt:
         assert svd_shapes == [a.shape]
         assert np.array_equal(left @ right, svt(a, 1.0))
         assert prox.rank == 2
+
+
+def lapack_svt(m, tau):
+    """svt as factors from LAPACK's SVD, as the public svt and _WarmSvt's
+    fallback take it."""
+    return linalg._factors(*np.linalg.svd(m, full_matrices=False), tau)
+
+
+class TestGramSvt:
+    """`_svt`, the prox below the crossover dimension, takes svt from the
+    eigendecomposition of the short-side Gram matrix; it must match
+    LAPACK's SVD in the rank, the order of the factors' columns and the
+    product, on tall, wide and square input."""
+
+    SHAPES = [(20, 9), (9, 20), (12, 12)]
+
+    def check(self, m, tau, rtol=1e-13):
+        left, right = linalg._svt(m, tau)
+        want_left, want_right = lapack_svt(m, tau)
+        assert left.shape == want_left.shape
+        assert right.shape == want_right.shape
+        assert right.flags.c_contiguous
+        # columns of L carry s_i - tau, nonincreasing
+        np.testing.assert_allclose(np.linalg.norm(left, axis=0),
+                                   np.linalg.norm(want_left, axis=0),
+                                   rtol=0, atol=rtol * np.linalg.norm(m))
+        err = np.linalg.norm(left @ right - want_left @ want_right)
+        assert err <= rtol * np.linalg.norm(m)
+        return left, right
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_every_rank(self, shape):
+        m = np.random.default_rng(40).random(shape)
+        s = np.linalg.svd(m, compute_uv=False)
+        # tau above sigma_1 (r = 0), between each pair of singular
+        # values, and below the smallest (r = min(m, n))
+        taus = [2.0 * s[0], *((s[:-1] + s[1:]) / 2), s[-1] / 2]
+        ranks = [self.check(m, tau)[0].shape[1] for tau in taus]
+        assert ranks == list(range(s.size + 1))
+        for tau in (0.0, 1.0):
+            assert self.check(np.zeros(shape), tau)[0].shape[1] == 0
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("gap", [1e-6, 1e-10])
+    def test_clustered_at_tau(self, shape, gap):
+        # a tie above tau, and singular values a relative gap above and
+        # below it: Gram rounding moves a singular value near tau by about
+        # eps * sigma_1^2 / (2 tau), 1e-15 here
+        rng = np.random.default_rng(41)
+        sigmas = [3.0, 2.0, 2.0, 2.0, 1.0 + gap, 1.0 + gap, 1.0 - gap,
+                  1.0 - gap]
+        k = len(sigmas)
+        u = np.linalg.qr(rng.standard_normal((shape[0], k)))[0]
+        v = np.linalg.qr(rng.standard_normal((shape[1], k)))[0]
+        m = (u * sigmas) @ v.T
+        assert self.check(m, 1.0)[0].shape[1] == 6
+
+    # The bounds, relative to ||m||_F: the first-order error estimate of
+    # the Gram kernel is eps * sigma_1 / (2 tau), about 1e-10 at penalty
+    # 1e6 (sigma_1 / tau up to 9e5); at 1.5 (sigma_1 / tau <= 6.7) it is
+    # under 1e-15, and the rounding of both decompositions sets the
+    # bound. Measured worst per call (OpenBLAS 0.3.31, one thread):
+    # 6.7e-15 and 1.3e-12 here; over c04's first 20, biclique 60 seeds
+    # 0-9 and the demo, 8.5e-15 and 1.2e-11.
+    @pytest.mark.parametrize("penalty, rtol", [(1.5, 1e-13), (1e6, 1e-10)])
+    @pytest.mark.parametrize("case", ["demo", "c04_5"])
+    def test_every_prox_call_of_a_solve(self, monkeypatch, case, penalty,
+                                        rtol):
+        if case == "demo":
+            a, theta = two_block_matrix(), 0.5
+        else:
+            rng = np.random.default_rng(40)  # c04's corpus, matrix #5
+            a, theta = [rng.random((15, 15)) for _ in range(6)][5], 1.5
+        assert linalg._nuclear_prox(a.shape) is linalg._svt
+        calls = []
+
+        def checked(m, tau):
+            calls.append(tau)
+            return self.check(m, tau, rtol)
+
+        monkeypatch.setattr(solver_module, "_nuclear_prox",
+                            lambda shape: checked)
+        sol = solve(a, SolverConfig(theta=theta, penalty=penalty,
+                                    max_iters=2000))
+        assert len(calls) == sol.iterations
 
 
 class TestFactorForm:

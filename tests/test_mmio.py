@@ -344,7 +344,16 @@ class TestCertificateFile:
         (lambda r: r["y"][1].__setitem__(0, float("nan")),
          "certificate field 'y' is not finite"),
         (lambda r: r["z"][0].__setitem__(1, float("inf")),
-         "certificate field 'z' is not finite")])
+         "certificate field 'z' is not finite"),
+        (lambda r: r.update(linf_argmax_count=-2.5),
+         "certificate field 'linf_argmax_count' is not a nonnegative "
+         "integer"),
+        (lambda r: r.update(linf_argmax_count=2.5),
+         "certificate field 'linf_argmax_count' is not a nonnegative "
+         "integer"),
+        (lambda r: r.update(linf_argmax_count=-1),
+         "certificate field 'linf_argmax_count' is not a nonnegative "
+         "integer")])
     def test_malformed_field_named(self, tmp_path, edit, message):
         path = tmp_path / "cert.json"
         record = _record(_certificate(np.random.default_rng(0), (2, 2)))
