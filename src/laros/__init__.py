@@ -11,8 +11,7 @@ from .analysis import (BlockSelector, PlantedCertificateReport, RegimeReport,
                        theta_B, top_block, validate_planted_regime)
 from .generate import (PlantedInstance, PlantedModel, plant_biclique,
                        plant_rank_one, sample_noise, two_block_matrix)
-from .linalg import (SvdFactors, linf_subgrad, norm, project_halfspace,
-                     soft_threshold, spectral_subgrad, svd, svt, theta_norm)
+from .linalg import norm, soft_threshold, svt, theta_norm
 from .nmf import NmfResult, greedy_extract, residual_update
 from .solver import (CertificateUnavailableError, ConvergenceError,
                      DualCertificate, OptimalityReport, RankOneParts,
@@ -24,13 +23,12 @@ __all__ = [
     "DualCertificate", "NmfResult", "OptimalityReport",
     "PlantedCertificateReport", "PlantedInstance", "PlantedModel",
     "RankOneParts", "RegimeReport", "RowRatioReport", "Solution",
-    "SolverConfig", "SolverState", "SvdFactors", "build_planted_certificate",
+    "SolverConfig", "SolverState", "build_planted_certificate",
     "check_optimality", "dual_theta_norm", "extract_rank_one",
-    "greedy_extract", "linf_subgrad", "norm", "plant_biclique",
-    "plant_rank_one", "project_halfspace", "recover_dual", "residual_update",
-    "row_ratio_check", "row_zero_threshold", "row_zero_thresholds",
-    "sample_noise",
-    "soft_threshold", "solve", "spectral_subgrad", "subgaussian_tail_bound",
-    "svd", "svt", "theta_A", "theta_B", "theta_norm", "top_block",
-    "two_block_matrix", "validate_planted_regime",
+    "greedy_extract", "norm", "plant_biclique", "plant_rank_one",
+    "recover_dual", "residual_update", "row_ratio_check",
+    "row_zero_threshold", "row_zero_thresholds", "sample_noise",
+    "soft_threshold", "solve", "subgaussian_tail_bound", "svt", "theta_A",
+    "theta_B", "theta_norm", "top_block", "two_block_matrix",
+    "validate_planted_regime",
 ]

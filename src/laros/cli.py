@@ -116,21 +116,28 @@ def _cmd_solve(args):
     return result, {"matrix": args.input}, asdict(config)
 
 
+def _parse_list(text, flag, convert, kind):
+    """The items of `text`, the comma-separated list given to `flag`, each
+    passed through `convert`; an item it rejects fails naming the flag."""
+    items = []
+    for item in text.split(","):
+        try:
+            items.append(convert(item))
+        except ValueError:
+            what = "an empty item" if not item.strip() else repr(item.strip())
+            raise ValueError(f"{flag} takes comma-separated {kind}, got "
+                             f"{what} in {text!r}") from None
+    return items
+
+
 def _parse_index_list(text, flag):
     """0-based indices from `text`, the comma-separated 1-based indices
     given to `flag`; errors are stated in the flag's 1-based terms."""
-    indices = []
-    for item in text.split(","):
-        try:
-            index = int(item)
-        except ValueError:
-            what = "an empty item" if not item.strip() else repr(item.strip())
-            raise ValueError(f"{flag} takes comma-separated 1-based "
-                             f"integers, got {what} in {text!r}") from None
-        if index < 1:
-            raise ValueError(f"{flag} indices are 1-based, got {index}")
-        indices.append(index - 1)
-    return indices
+    indices = np.array(_parse_list(text, flag, int, "1-based integers"))
+    bad = indices[indices < 1]
+    if bad.size:
+        raise ValueError(f"{flag} indices are 1-based, got {bad[0]}")
+    return indices - 1
 
 
 def _cmd_thresholds(args):
@@ -138,9 +145,8 @@ def _cmd_thresholds(args):
         raise ValueError("--rows and --cols must be given together")
     block = None
     if args.rows:
-        block = BlockSelector(
-            rows=np.array(_parse_index_list(args.rows, "--rows")),
-            cols=np.array(_parse_index_list(args.cols, "--cols")))
+        block = BlockSelector(rows=_parse_index_list(args.rows, "--rows"),
+                              cols=_parse_index_list(args.cols, "--cols"))
     a = parse_matrix(args.input)
     result = {"theta_A": theta_A(a)}
     if block is not None:
@@ -197,8 +203,8 @@ def _cmd_certify(args):
 
 
 def _cmd_nmf(args):
+    thetas = _parse_list(args.theta, "--theta", float, "numbers")
     a = parse_matrix(args.input)
-    thetas = [float(t) for t in args.theta.split(",")]
     theta = thetas[0] if len(thetas) == 1 else thetas
     config = _solver_config(args, thetas[0])
     res = greedy_extract(a, args.features, theta, config)
@@ -221,11 +227,10 @@ def _cmd_nmf(args):
 
 
 def _cmd_biclique(args):
-    theta = args.theta
-    if theta is None:
-        theta = 1.0 / math.sqrt(args.M * args.N)
     inst = plant_biclique(args.m, args.n, args.M, args.N, args.p_edge,
                           args.seed)
+    theta = (1.0 / math.sqrt(args.M * args.N) if args.theta is None
+             else args.theta)
     if args.matrix_output:
         write_matrix(args.matrix_output, inst.a)
     config = _solver_config(args, theta)

@@ -65,12 +65,10 @@ class PlantedModel:
 
 @dataclass(frozen=True)
 class PlantedInstance:
-    """A generated matrix with its ground-truth block and provenance."""
+    """A generated matrix with its ground-truth block."""
 
     a: np.ndarray
     truth: BlockSelector
-    model: Optional[PlantedModel]
-    seed: int
 
 
 def sample_noise(family, sigma0, c3, rows, cols, seed):
@@ -132,7 +130,7 @@ def plant_rank_one(model, seed):
     a[bm:, bn:] += sample_noise(fam, s0, c3, m - bm, n - bn, s22)
 
     truth = BlockSelector(rows=np.arange(bm), cols=np.arange(bn))
-    return PlantedInstance(a=a, truth=truth, model=model, seed=seed)
+    return PlantedInstance(a=a, truth=truth)
 
 
 def plant_biclique(m, n, M, N, p_edge, seed):
@@ -148,12 +146,8 @@ def plant_biclique(m, n, M, N, p_edge, seed):
     rng = np.random.default_rng(seed)
     a = (rng.random((m, n)) < p_edge).astype(float)
     a[:M, :N] = 1.0
-    model = None
-    if M < m and N < n:
-        model = PlantedModel(m=m, n=n, M=M, N=N, sigma0=1.0, c3=p_edge,
-                             noise_family="bernoulli")
     truth = BlockSelector(rows=np.arange(M), cols=np.arange(N))
-    return PlantedInstance(a=a, truth=truth, model=model, seed=seed)
+    return PlantedInstance(a=a, truth=truth)
 
 
 def two_block_matrix():

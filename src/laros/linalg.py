@@ -1,8 +1,7 @@
-"""Dense matrix primitives: SVD with a fixed sign convention, the four norms,
-the composite theta-norm, proximal operators, and canonical subgradients."""
+"""Dense matrix primitives: the four norms, the composite theta-norm, and
+the proximal operators of the nuclear and entrywise l1 norms."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,35 +22,6 @@ def as_matrix(a):
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite (no NaN/Inf)")
     return m
-
-
-@dataclass(frozen=True)
-class SvdFactors:
-    """Full singular value decomposition with a deterministic sign convention.
-
-    singular_values are nonincreasing; left_vectors and right_vectors have
-    orthonormal columns; in each left vector the component of largest
-    magnitude (first such index on ties) is nonnegative.
-    """
-
-    singular_values: np.ndarray  # (k,), k = min(m, n)
-    left_vectors: np.ndarray     # (m, k)
-    right_vectors: np.ndarray    # (n, k)
-
-    def reconstruct(self):
-        return (self.left_vectors * self.singular_values) @ self.right_vectors.T
-
-
-def svd(a):
-    """Compute the full thin SVD of `a` as SvdFactors.
-
-    The sign of each singular pair is fixed so the largest-magnitude
-    component of the left vector is nonnegative, making output reproducible
-    across backends.
-    """
-    u, s, vt = np.linalg.svd(as_matrix(a), full_matrices=False)
-    u, vt = _signed_pairs(u, vt)
-    return SvdFactors(singular_values=s, left_vectors=u, right_vectors=vt.T)
 
 
 def _signed_pairs(u, vt):
@@ -279,50 +249,3 @@ class _WarmSvt:
         vt), C-ordered."""
         self.rank = rank
         self.basis = np.ascontiguousarray(vt[:rank + _OVERSAMPLE - 1].T)
-
-
-def project_halfspace(x, a, level):
-    """Project `x` onto the halfspace {X : <a, X> >= level}.
-
-    Closed form: x itself if feasible, else x + ((level - <a,x>)/||a||_F^2)*a.
-    """
-    xm = as_matrix(x)
-    am = as_matrix(a)
-    if xm.shape != am.shape:
-        raise ValueError(f"shape mismatch {xm.shape} vs {am.shape}")
-    nf2 = float(np.vdot(am, am))
-    if nf2 == 0.0:
-        raise ValueError("degenerate constraint: a must be nonzero")
-    g = float(np.vdot(am, xm))
-    if g >= level:
-        return xm.copy()
-    return xm + ((level - g) / nf2) * am
-
-
-def spectral_subgrad(a):
-    """A canonical element of the spectral norm subdifferential at `a`.
-
-    Returns u1 v1^T from the leading singular pair (sign convention applied);
-    satisfies <a, result> = sigma_1(a) and has unit spectral norm.
-    """
-    m = as_matrix(a)
-    if not m.any():
-        raise ValueError("spectral subgradient undefined at the zero matrix")
-    f = svd(m)
-    return np.outer(f.left_vectors[:, 0], f.right_vectors[:, 0])
-
-
-def linf_subgrad(a):
-    """A canonical element of the entrywise linf norm subdifferential at `a`.
-
-    Returns (sgn(a_ij) * E_ij, i, j) at the lexicographically smallest
-    argmax of |a|; indices are 0-based.
-    """
-    m = as_matrix(a)
-    if not m.any():
-        raise ValueError("linf subgradient undefined at the zero matrix")
-    flat = int(np.argmax(np.abs(m)))  # row-major argmax = lexicographic tie-break
-    i, j = divmod(flat, m.shape[1])
-    g = np.zeros_like(m)
-    g[i, j] = 1.0 if m[i, j] >= 0 else -1.0
-    return g, i, j

@@ -209,8 +209,9 @@ def extract_rank_one(x, support_tol=1e-6):
 
 def _rank_one_parts(xm, factors, support_tol):
     """RankOneParts of a nonzero `xm` from its thin SVD (u, s, vt) or
-    `_support_svd`, with the sign convention of `svd` applied to the
-    leading pair."""
+    `_support_svd`, with the leading pair's sign fixed so that the
+    largest-magnitude component of u (the first such index on ties) is
+    nonnegative."""
     u, s, vt = factors
     u0, v0 = _signed_pairs(u[:, :1], vt[:1])
     # + 0.0: the zeros off the support read 0.0 whichever sign a pair took

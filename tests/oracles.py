@@ -72,25 +72,6 @@ def svt_value_oracle(a, tau, x_candidate, pts=17):
                          x_candidate, pts)
 
 
-def halfspace_distance_oracle(x, a, level, candidate, pts=17):
-    """Least distance from x to a feasible grid point of {<a,.> >= level}."""
-    x = np.asarray(x, dtype=float)
-    a = np.asarray(a, dtype=float)
-    fx = x.ravel()
-    fa = a.ravel()
-    reach = abs(level - float(np.vdot(a, x))) / float(np.linalg.norm(a)) + 0.5
-
-    def objective(z1, z2, z3, z4):
-        dist = np.sqrt((z1 - fx[0]) ** 2 + (z2 - fx[1]) ** 2
-                       + (z3 - fx[2]) ** 2 + (z4 - fx[3]) ** 2)
-        gain = fa[0] * z1 + fa[1] * z2 + fa[2] * z3 + fa[3] * z4
-        feasible = gain >= level
-        return np.where(np.broadcast_to(feasible, np.broadcast_shapes(
-            dist.shape, feasible.shape)), dist, np.inf)
-
-    return _two_pass_min(objective, fx - reach, fx + reach, candidate, pts)
-
-
 def dual_norm_oracle(a, theta, target=5e-4, max_stages=40):
     """min over Y+Z=a of max(||Y||, ||Z||_inf/theta) for a 2x2 matrix, by
     multistage grid refinement over the four entries of Z.

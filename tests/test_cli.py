@@ -325,6 +325,21 @@ class TestNmfCommand:
         assert w.shape == (6, 2) and h.shape == (6, 2)
         assert w.min() >= 0 and h.min() >= 0
 
+    @pytest.mark.parametrize("theta, message", [
+        ("0.1,,0.2", "an empty item in '0.1,,0.2'"),
+        ("0.1,", "an empty item in '0.1,'"),
+        ("0.5, x", "'x' in '0.5, x'")],
+        ids=["empty", "trailing", "word"])
+    def test_bad_schedule_rejected_before_reading(self, tmp_path, capsys,
+                                                  theta, message):
+        assert run(["nmf", "--input", str(tmp_path / "nope.mtx"),
+                    "--theta", theta, "--features", "2",
+                    "--w-output", str(tmp_path / "w.mtx"),
+                    "--h-output", str(tmp_path / "h.mtx")]) == 1
+        assert capsys.readouterr().err == (
+            f"laros nmf: --theta takes comma-separated numbers, got "
+            f"{message}\n")
+
 
 class TestBicliqueCommand:
     def test_recovery_run(self, tmp_path):
@@ -365,6 +380,13 @@ class TestBicliqueCommand:
         assert result["recovered"] == (truth_match
                                        and result["biclique_complete"])
         assert result["recovered"]
+
+    @pytest.mark.parametrize("sizes", [["--M", "0"], ["--M", "-1", "--N", "2"]],
+                             ids=["zero", "negative"])
+    def test_block_outside_matrix_rejected(self, capsys, sizes):
+        assert run(["biclique", *sizes]) == 1
+        assert capsys.readouterr().err == (
+            "laros biclique: block must fit inside the matrix\n")
 
 
 class TestManifest:

@@ -8,61 +8,16 @@ from hypothesis import strategies as st
 from laros import linalg
 from laros import solver as solver_module
 from laros.generate import two_block_matrix
-from laros.linalg import (linf_subgrad, norm, project_halfspace,
-                          soft_threshold, spectral_subgrad, svd, svt,
-                          theta_norm)
+from laros.linalg import norm, soft_threshold, svt, theta_norm
 from laros.solver import SolverConfig, solve
 
-from oracles import halfspace_distance_oracle, svt_value_oracle
+from oracles import svt_value_oracle
 
 
 def small_matrix(rng, m=None, n=None, scale=2.0):
     m = m or int(rng.integers(1, 6))
     n = n or int(rng.integers(1, 6))
     return (rng.random((m, n)) - 0.3) * scale
-
-
-matrices = st.integers(0, 2**32 - 1).map(
-    lambda s: small_matrix(np.random.default_rng(s)))
-
-
-class TestSvd:
-    def test_diagonal(self):
-        f = svd(np.diag([3.0, 4.0]))
-        np.testing.assert_allclose(f.singular_values, [4.0, 3.0])
-
-    def test_all_ones_rank_one(self):
-        f = svd(np.ones((2, 3)))
-        np.testing.assert_allclose(f.singular_values,
-                                   [np.sqrt(6.0), 0.0], atol=1e-12)
-
-    def test_reconstruction_contract(self):
-        a = np.random.default_rng(5).random((5, 4))
-        f = svd(a)
-        rel = np.linalg.norm(f.reconstruct() - a) / f.singular_values[0]
-        assert rel <= 1e-10
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            svd(np.array([[1.0, np.nan]]))
-
-    @settings(max_examples=200, deadline=None)
-    @given(matrices)
-    def test_contract_properties(self, a):
-        f = svd(a)
-        s = f.singular_values
-        assert np.all(np.diff(s) <= 1e-12)
-        assert np.all(s >= -1e-15)
-        top = max(s[0], 1e-300)
-        assert np.linalg.norm(f.reconstruct() - a) <= 1e-10 * max(top, 1.0)
-        k = s.size
-        np.testing.assert_allclose(f.left_vectors.T @ f.left_vectors,
-                                   np.eye(k), atol=1e-10)
-        np.testing.assert_allclose(f.right_vectors.T @ f.right_vectors,
-                                   np.eye(k), atol=1e-10)
-        for col in range(k):
-            u = f.left_vectors[:, col]
-            assert u[np.argmax(np.abs(u))] >= 0
 
 
 class TestNorms:
@@ -200,95 +155,6 @@ class TestSoftThreshold:
             # == compares the values: +0.0 equals -0.0
             want = np.sign(keep) * np.maximum(np.abs(keep) - tau, 0)
             assert np.array_equal(got, want)
-
-
-class TestProjectHalfspace:
-    def test_zero_to_spike(self):
-        e11 = np.zeros((2, 2))
-        e11[0, 0] = 1.0
-        np.testing.assert_allclose(project_halfspace(np.zeros((2, 2)), e11, 1.0),
-                                   e11)
-
-    def test_feasible_unchanged(self):
-        a = np.ones((2, 2))
-        x = np.full((2, 2), 0.5)
-        np.testing.assert_allclose(project_halfspace(x, a, 1.0), x)
-
-    def test_zero_constraint_rejected(self):
-        with pytest.raises(ValueError):
-            project_halfspace(np.ones((2, 2)), np.zeros((2, 2)), 1.0)
-
-    def test_matches_grid_oracle(self):
-        # no feasible grid point may be closer to x than the projection
-        rng = np.random.default_rng(21)
-        for _ in range(200):
-            a = (rng.random((2, 2)) + 0.1)
-            x = -a / np.vdot(a, a) * float(rng.uniform(0.5, 2.0))
-            out = project_halfspace(x, a, 1.0)
-            assert np.vdot(a, out) >= 1.0 - 1e-12 * np.linalg.norm(a)
-            dist = float(np.linalg.norm(out - x))
-            best = halfspace_distance_oracle(x, a, 1.0, out)
-            assert dist <= best + 1e-9
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2**32 - 1))
-    def test_idempotent_and_nonexpansive(self, seed):
-        rng = np.random.default_rng(seed)
-        a = small_matrix(rng, 3, 3) + 0.5
-        x = small_matrix(rng, 3, 3)
-        y = small_matrix(rng, 3, 3)
-        px = project_halfspace(x, a, 1.0)
-        py = project_halfspace(y, a, 1.0)
-        np.testing.assert_allclose(project_halfspace(px, a, 1.0), px,
-                                   atol=1e-12)
-        assert np.linalg.norm(px - py) <= np.linalg.norm(x - y) + 1e-12
-
-
-class TestSubgradients:
-    def test_spectral_diagonal(self):
-        out = spectral_subgrad(np.diag([3.0, 4.0]))
-        expected = np.zeros((2, 2))
-        expected[1, 1] = 1.0
-        np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    def test_spectral_rank_one(self):
-        u = np.array([0.6, 0.8])
-        v = np.array([1.0, 0.0, 0.0])
-        out = spectral_subgrad(5.0 * np.outer(u, v))
-        np.testing.assert_allclose(out, np.outer(u, v), atol=1e-12)
-
-    def test_linf_positive(self):
-        g, i, j = linf_subgrad(np.array([[5.0, 1.0], [1.0, 1.0]]))
-        assert (i, j) == (0, 0)
-        np.testing.assert_allclose(g, [[1.0, 0.0], [0.0, 0.0]])
-
-    def test_linf_negative(self):
-        g, i, j = linf_subgrad(np.array([[-5.0, 1.0], [1.0, 1.0]]))
-        assert (i, j) == (0, 0)
-        np.testing.assert_allclose(g, [[-1.0, 0.0], [0.0, 0.0]])
-
-    def test_linf_tie_break(self):
-        g, i, j = linf_subgrad(np.array([[2.0, 2.0], [1.0, 1.0]]))
-        assert (i, j) == (0, 0)
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            spectral_subgrad(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            linf_subgrad(np.zeros((2, 2)))
-
-    @settings(max_examples=200, deadline=None)
-    @given(matrices)
-    def test_pairing_identities(self, a):
-        if not a.any():
-            return
-        top = norm(a, "spectral")
-        unit = max(top, 1.0)
-        g = spectral_subgrad(a)
-        assert abs(float(np.vdot(a, g)) - top) <= 1e-10 * unit
-        assert norm(g, "spectral") == pytest.approx(1.0, abs=1e-10)
-        gi, _, _ = linf_subgrad(a)
-        assert abs(float(np.vdot(a, gi)) - norm(a, "linf")) <= 1e-10 * unit
 
 
 def spectrum_matrix(rng, m, n, sigmas, noise=1e-3):

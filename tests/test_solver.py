@@ -9,18 +9,21 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laros import linalg
 from laros import solver as solver_module
 from laros.generate import (PlantedModel, plant_biclique, plant_rank_one,
                             two_block_matrix)
-from laros.linalg import norm, svd, theta_norm
+from laros.linalg import norm, theta_norm
 from laros.solver import (CertificateUnavailableError, DualCertificate,
                           OptimalityReport, SolverConfig, check_optimality,
                           dual_theta_norm, extract_rank_one, recover_dual,
                           solve)
 
 from oracles import dr2_residuals, dual_norm_oracle, l1_halfspace_prox
+from test_linalg import small_matrix
 
 
 def tight(theta, **kw):
@@ -72,9 +75,8 @@ class TestSolve:
         rng = np.random.default_rng(3)
         a = rng.random((8, 6))
         sol = solve(a, tight(0.0))
-        f = svd(a)
-        closed = np.outer(f.left_vectors[:, 0], f.right_vectors[:, 0]) \
-            / f.singular_values[0]
+        u, s, vt = np.linalg.svd(a)
+        closed = np.outer(u[:, 0], vt[0]) / s[0]
         assert np.linalg.norm(sol.x - closed) <= 1e-6
 
     def test_large_theta_singleton(self):
@@ -171,6 +173,31 @@ class TestExtractRankOne:
         assert parts.sigma == 0.0
         assert parts.rows.size == 0 and parts.cols.size == 0
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_leading_pair_and_sign_convention(self, seed):
+        # odd seeds zero some rows and columns (never all), so the SVD is
+        # taken on the support as well as on the whole matrix
+        rng = np.random.default_rng(seed)
+        a = small_matrix(rng)
+        if seed % 2:
+            rows = rng.random(a.shape[0]) < 0.4
+            cols = rng.random(a.shape[1]) < 0.4
+            rows[rng.integers(a.shape[0])] = False
+            cols[rng.integers(a.shape[1])] = False
+            a[rows] = 0.0
+            a[:, cols] = 0.0
+        parts = extract_rank_one(a)
+        u, s, vt = np.linalg.svd(a)
+        assert parts.u[np.argmax(np.abs(parts.u))] >= 0
+        assert np.linalg.norm(parts.u) == pytest.approx(1.0, abs=1e-12)
+        assert np.linalg.norm(parts.v) == pytest.approx(1.0, abs=1e-12)
+        assert parts.sigma == pytest.approx(s[0], rel=1e-12)
+        # the sign of a pair cancels in the outer product
+        np.testing.assert_allclose(parts.sigma * np.outer(parts.u, parts.v),
+                                   s[0] * np.outer(u[:, 0], vt[0]),
+                                   rtol=0, atol=1e-12 * s[0])
+
 
 class TestCheckOptimality:
     def test_singleton_hand_certificate(self):
@@ -187,13 +214,13 @@ class TestCheckOptimality:
     def test_theta_zero_certificate(self):
         rng = np.random.default_rng(5)
         a = rng.random((5, 4))
-        f = svd(a)
-        x = np.outer(f.left_vectors[:, 0], f.right_vectors[:, 0])
-        s1 = f.singular_values[0]
+        u, s, vt = np.linalg.svd(a)
+        x = np.outer(u[:, 0], vt[0])
+        s1 = s[0]
         cert = DualCertificate(y=a, z=np.zeros_like(a), alpha=1.0,
                                beta=norm(x, "l1"), dual_norm=s1,
                                lambda_star=1.0 / s1,
-                               spectral_gap=s1 - f.singular_values[1],
+                               spectral_gap=s1 - s[1],
                                linf_argmax_count=0)
         report = check_optimality(a, 0.0, x, cert)
         assert report.max_residual <= 1e-10
