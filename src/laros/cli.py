@@ -45,16 +45,10 @@ def _emit(record, output):
         sys.stdout.write(text)
 
 
-# the defaults of the solver flags: SolverConfig's own
-_CONFIG_DEFAULTS = {f.name: f.default for f in fields(SolverConfig)}
-
-
 def _solver_config(args, theta):
     tols = {} if args.tol is None else dict.fromkeys(
         ("tol_primal", "tol_dual", "tol_gap"), args.tol)
-    return SolverConfig(theta=theta, penalty=args.penalty,
-                        max_iters=args.max_iters,
-                        support_tol=args.support_tol, **tols)
+    return SolverConfig(theta=theta, max_iters=args.max_iters, **tols)
 
 
 def _add_theta_flag(sub):
@@ -64,15 +58,11 @@ def _add_theta_flag(sub):
 
 
 def _add_solver_flags(sub):
-    sub.add_argument("--penalty", type=float,
-                     default=_CONFIG_DEFAULTS["penalty"])
     sub.add_argument("--max-iters", type=int,
-                     default=_CONFIG_DEFAULTS["max_iters"])
+                     default=SolverConfig.max_iters)
     sub.add_argument("--tol", type=float, default=None,
                      help="sets the primal, dual and gap tolerances "
                           "(default: SolverConfig's)")
-    sub.add_argument("--support-tol", type=float,
-                     default=_CONFIG_DEFAULTS["support_tol"])
 
 
 def _add_input_flag(sub):
@@ -166,10 +156,8 @@ def _cmd_plant(args):
         result = {"matrix_path": args.matrix_output, "rows": 6, "cols": 6,
                   "truth_rows": None, "truth_cols": None}
         return result, {}, {"kind": args.kind}
-    # the model's fields that have a flag; b is derived from c3
-    flags = vars(args)
-    settings = {f.name: flags[f.name] for f in fields(PlantedModel)
-                if f.name in flags}
+    # every field of the model has a flag
+    settings = {f.name: getattr(args, f.name) for f in fields(PlantedModel)}
     inst = plant_rank_one(PlantedModel(**settings), args.seed)
     write_matrix(args.matrix_output, inst.a)
     result = {
@@ -182,6 +170,11 @@ def _cmd_plant(args):
 
 
 def _cmd_certify(args):
+    # written so that NaN fails too: at inf any residuals pass, and neither
+    # NaN nor inf is JSON
+    if not 0.0 < args.residual_tol < 1.0:
+        raise ValueError(
+            f"--residual-tol must lie in (0, 1), got {args.residual_tol}")
     a = parse_matrix(args.input)
     x = parse_matrix(args.solution)
     if x.shape != a.shape:

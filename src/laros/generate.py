@@ -8,17 +8,32 @@ the ambient matrix never reshuffles the planted block.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .analysis import BlockSelector
 
-NOISE_FAMILIES = ("uniform", "bernoulli", "none")
+NOISE_FAMILIES = ("uniform", "bernoulli")
 
 # Entries of the block factors are kept strictly positive: perturbations
 # are clipped at -1 + FACTOR_FLOOR.
 FACTOR_FLOOR = 1e-6
+
+
+def _check_noise(family, sigma0, c3):
+    """Rejects an unknown family, a sigma0 or c3 outside its range, and a
+    noise bound 2*c3*sigma0 that overflows."""
+    if family not in NOISE_FAMILIES:
+        raise ValueError(f"unknown noise family {family!r}, "
+                         f"expected one of {NOISE_FAMILIES}")
+    # written so that NaN fails too
+    if not 0.0 < sigma0 < math.inf:
+        raise ValueError(f"sigma0 must be finite and positive, got {sigma0}")
+    if not 0.0 <= c3 < math.inf:
+        raise ValueError(f"c3 must be finite and nonnegative, got {c3}")
+    if 2.0 * c3 * sigma0 == math.inf:
+        raise ValueError(f"noise bound 2*c3*sigma0 overflows at c3={c3}, "
+                         f"sigma0={sigma0}")
 
 
 @dataclass(frozen=True)
@@ -28,8 +43,8 @@ class PlantedModel:
     The signal block is sigma0 * u0 v0^T on the leading M x N corner with
     u0 = ones + p, v0 = ones + q (||p|| <= c1*sqrt(M), ||q|| <= c2*sqrt(N),
     both entrywise > -1), plus i.i.d. nonnegative noise of mean c3*sigma0
-    everywhere. The centered, sigma0-scaled noise is b-subgaussian; for the
-    bounded families b is recorded as c3.
+    everywhere (none at c3 = 0). The centered, sigma0-scaled noise is
+    b-subgaussian (see `b`).
     """
 
     m: int
@@ -41,7 +56,6 @@ class PlantedModel:
     c2: float = 0.0
     c3: float = 0.0
     noise_family: str = "uniform"
-    b: Optional[float] = None
     p_seed: int = 0
     q_seed: int = 0
 
@@ -50,17 +64,27 @@ class PlantedModel:
             raise ValueError("dimensions must be positive")
         if self.M >= self.m or self.N >= self.n:
             raise ValueError("block must be strictly smaller than the matrix")
-        if self.sigma0 <= 0:
-            raise ValueError("sigma0 must be positive")
-        if min(self.c1, self.c2, self.c3) < 0:
-            raise ValueError("c1, c2, c3 must be nonnegative")
-        if self.noise_family not in NOISE_FAMILIES:
-            raise ValueError(f"unknown noise family {self.noise_family!r}, "
-                             f"expected one of {NOISE_FAMILIES}")
-        if self.b is None:
-            object.__setattr__(self, "b", self.c3 if self.c3 > 0 else 1.0)
-        if self.b <= 0:
-            raise ValueError("b must be positive")
+        _check_noise(self.noise_family, self.sigma0, self.c3)
+        for name in ("c1", "c2"):
+            v = getattr(self, name)
+            if not 0.0 <= v < math.inf:
+                raise ValueError(
+                    f"{name} must be finite and nonnegative, got {v}")
+        # a bound on the entries, formed in the order plant_rank_one forms
+        # them, so that no intermediate of a model that passes overflows
+        peak = self.sigma0 * ((1.0 + self.c1 * math.sqrt(self.M))
+                              * (1.0 + self.c2 * math.sqrt(self.N))
+                              + 2.0 * self.c3)
+        if peak == math.inf:
+            raise ValueError(
+                f"entries can overflow at sigma0={self.sigma0}, c1={self.c1}, "
+                f"c2={self.c2}, c3={self.c3}")
+
+    @property
+    def b(self):
+        """The noise's subgaussian parameter: c3, or 1.0 at c3 = 0 (no
+        noise, which any b > 0 bounds)."""
+        return self.c3 if self.c3 > 0 else 1.0
 
 
 @dataclass(frozen=True)
@@ -76,16 +100,10 @@ def sample_noise(family, sigma0, c3, rows, cols, seed):
     c3*sigma0.
 
     uniform: entries on [0, 2*c3*sigma0] (centered scaled variable is
-    c3-subgaussian); bernoulli: 0 or 2*c3*sigma0 with probability 1/2;
-    none: zeros.
+    c3-subgaussian); bernoulli: 0 or 2*c3*sigma0 with probability 1/2.
+    Either gives zeros at c3 = 0.
     """
-    if family not in NOISE_FAMILIES:
-        raise ValueError(f"unknown noise family {family!r}, "
-                         f"expected one of {NOISE_FAMILIES}")
-    if c3 < 0:
-        raise ValueError("c3 must be nonnegative")
-    if family == "none":
-        return np.zeros((rows, cols))
+    _check_noise(family, sigma0, c3)
     rng = np.random.default_rng(seed)
     if family == "uniform":
         return rng.uniform(0.0, 2.0 * c3 * sigma0, size=(rows, cols))

@@ -98,9 +98,10 @@ def _svt(m, tau):
     near tau moves by about eps * sigma_1^2 / (2 tau), and the output is
     within O(eps * sigma_1^2 / tau) of svt (the full SVD's is O(eps *
     sigma_1)). As svt is a Lipschitz function of g, clustered singular
-    values cost no accuracy. In solves at the default penalty sigma_1 /
+    values cost no accuracy. In solves at solver._PENALTY (1.5) sigma_1 /
     tau stayed below 7, and each call matched the SVD's output to 1e-14
-    relative (1.2e-11 at penalty 1e6, where sigma_1 / tau nears 9e5).
+    relative (1.2e-11 with solver._PENALTY patched to 1e6, where
+    sigma_1 / tau nears 9e5).
     """
     wide = m.shape[0] < m.shape[1]
     lam, w = np.linalg.eigh(m @ m.T if wide else m.T @ m)

@@ -41,6 +41,13 @@ _RELAX = 1.3
 # primal and dual residuals pass (a failing one could not stop the solve),
 # and always at max_iters.
 _CHECK_EVERY = 25
+# rho = _PENALTY ||A||_F; the nuclear prox thresholds at 1/rho. 1.5 rather
+# than 1.0: on held-out biclique draws 1.0 lost certificates that 1.5 keeps
+# (README).
+_PENALTY = 1.5
+# The support of a solution keeps the rows and columns whose largest entry
+# magnitude exceeds _SUPPORT_TOL ||X||_inf.
+_SUPPORT_TOL = 1e-6
 
 
 class ConvergenceError(RuntimeError):
@@ -54,28 +61,20 @@ class CertificateUnavailableError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     theta: float
-    # rho = penalty*||A||_F; the nuclear prox thresholds at 1/rho. 1.5
-    # rather than 1.0: on held-out biclique draws 1.0 lost certificates
-    # that 1.5 keeps (README)
-    penalty: float = 1.5
     max_iters: int = 50000
     tol_primal: float = 1e-8      # ||x1 - x2|| / ||x2||
     tol_dual: float = 1e-8        # drift of x2 per iteration, relative
     tol_gap: float = 1e-8         # certificate residual, relative
-    support_tol: float = 1e-6     # support cutoff relative to ||X||_inf
 
     def __post_init__(self):
         # written so that NaN fails too
         if not 0.0 <= self.theta < math.inf:
             raise ValueError(
                 f"theta must be finite and nonnegative, got {self.theta}")
-        if not 0.0 < self.penalty < math.inf:
-            raise ValueError(
-                f"penalty must be finite and positive, got {self.penalty}")
         v = self.max_iters
         if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {v!r}")
-        for name in ("tol_primal", "tol_dual", "tol_gap", "support_tol"):
+        for name in ("tol_primal", "tol_dual", "tol_gap"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name} must lie in (0, 1), got {v}")
@@ -193,21 +192,21 @@ class Solution:
         return self.x / self.objective
 
 
-def extract_rank_one(x, support_tol=1e-6):
+def extract_rank_one(x):
     """Leading singular triple of `x` plus row/column support sets.
 
     Support keeps indices whose largest entry magnitude exceeds
-    support_tol * ||x||_inf. A zero matrix yields sigma 0 and empty sets.
+    _SUPPORT_TOL * ||x||_inf. A zero matrix yields sigma 0 and empty sets.
     """
     xm = as_matrix(x)
     if not xm.any():
         return RankOneParts(0.0, np.zeros(xm.shape[0]), np.zeros(xm.shape[1]),
                             np.array([], dtype=int), np.array([], dtype=int),
                             False)
-    return _rank_one_parts(xm, _support_svd(xm), support_tol)
+    return _rank_one_parts(xm, _support_svd(xm))
 
 
-def _rank_one_parts(xm, factors, support_tol):
+def _rank_one_parts(xm, factors):
     """RankOneParts of a nonzero `xm` from its thin SVD (u, s, vt) or
     `_support_svd`, with the leading pair's sign fixed so that the
     largest-magnitude component of u (the first such index on ties) is
@@ -217,7 +216,7 @@ def _rank_one_parts(xm, factors, support_tol):
     # + 0.0: the zeros off the support read 0.0 whichever sign a pair took
     u0, v0 = u0[:, 0] + 0.0, v0[0] + 0.0
     mag = np.abs(xm)
-    cutoff = support_tol * mag.max()
+    cutoff = _SUPPORT_TOL * mag.max()
     rows = np.flatnonzero(mag.max(axis=1) > cutoff)
     cols = np.flatnonzero(mag.max(axis=0) > cutoff)
     rank_one = bool(s[0] > 0 and (s.size == 1 or s[1] <= 1e-6 * s[0]))
@@ -252,9 +251,11 @@ def _check(a, theta, x2, g2):
     """Certificate A = Y + Z at the current iterate and its residual.
 
     x2 = prox_g(w) is the soft threshold of w + mu A, so <A, x2> = 1 up to
-    rounding (or more, where mu = 0), and g2 = rho*(w + mu A - x2) is its
-    l1 multiplier, an exact subgradient of theta*||.||_1 at x2. So
-    Z = g2/objective, formed in the memory of g2, satisfies its norm bound
+    rounding (or more, where mu = 0; solve raises instead of checking where
+    the root find stopped short, at <A, x2> <= 0), and g2 =
+    rho*(w + mu A - x2) is its l1 multiplier, an exact subgradient of
+    theta*||.||_1 at x2. So Z = g2/objective, formed in the memory of g2,
+    satisfies its norm bound
     and alignment exactly; all convergence error lands in Y. The SVD of the
     candidate, with vectors and taken on its support, also serves the
     certificate's alpha and the solution's rank-one parts.
@@ -360,7 +361,7 @@ class _GProx:
 
     def __call__(self, w, x2, z, h):
         """Writes prox_g(w) into x2 and adds _RELAX times it to z, given
-        h(self.mu), and moves self.mu to the root."""
+        h(self.mu), and moves self.mu to the root; returns h there."""
         mu, slope = self.mu, self.slope
         lo, hi = 0.0, math.inf         # h(lo) < 1 <= h(hi) once evaluated
         at_lo = written = False
@@ -390,6 +391,7 @@ class _GProx:
                 slope = step if step > 0.0 else 0.5 * slope
             mu, h = nxt, h_next
         self.mu, self.slope = mu, slope
+        return h
 
 
 def solve(a, config):
@@ -421,7 +423,7 @@ def solve(a, config):
     # the results are too
     a = np.ascontiguousarray(np.ldexp(am, -e))
     nf = float(np.linalg.norm(a))
-    rho = config.penalty * nf
+    rho = _PENALTY * nf
     nuclear_prox = _nuclear_prox(a.shape)
     prox_g = _GProx(a, theta / rho)
     blocks = prox_g.blocks
@@ -453,7 +455,7 @@ def solve(a, config):
             # h through w, also where A is zero (0 * NaN and 0 * inf are
             # NaN)
             raise ValueError(f"solver iterate is not finite at iteration {k}")
-        prox_g(w, x2, z, h)
+        h = prox_g(w, x2, z, h)
         if k % _CHECK_EVERY and k != config.max_iters:
             continue
         # x1 formed again as in the first pass, so that x2 - x1 is not
@@ -478,6 +480,13 @@ def solve(a, config):
         can_stop = r_rel <= config.tol_primal and s_rel <= config.tol_dual
         if not (can_stop or k == config.max_iters):
             continue
+        if h <= 0.0:
+            # the root find stopped on the flat piece h = 0 below the first
+            # breakpoint (out of passes, or at a step below one ulp of mu):
+            # at a large theta that breakpoint lies beyond its reach
+            raise ValueError(
+                f"theta={theta} is too large for this matrix: at iteration "
+                f"{k} the halfspace multiplier search ended at <A, X> = {h}")
         # the l1 multiplier rho (w + mu A - x2) of the loop's own x2
         g2 = np.multiply(a, prox_g.mu)
         g2 += w
@@ -493,7 +502,7 @@ def solve(a, config):
 
     cert = _dual_certificate(chk, e)
     lam = chk.lam
-    parts = _rank_one_parts(chk.x_rep, chk.fx, config.support_tol)
+    parts = _rank_one_parts(chk.x_rep, chk.fx)
     unique_spectral = chk.spectral_gap > 1e-8 * max(float(chk.sy[0]), 1e-300)
     unique_linf = theta > 0 and cert.linf_argmax_count == 1
     state = SolverState(a=am, theta=theta, iterations=k,

@@ -255,8 +255,7 @@ class TestValidatePlantedRegime:
 
 class TestPlantedCertificate:
     def test_noiseless_certificate_tight(self):
-        model = PlantedModel(m=12, n=10, M=4, N=5, sigma0=2.0,
-                             noise_family="none")
+        model = PlantedModel(m=12, n=10, M=4, N=5, sigma0=2.0, c3=0.0)
         inst = plant_rank_one(model, seed=3)
         theta = 1.0 / math.sqrt(20.0)
         sol = solve(inst.a, tight(theta))
@@ -293,8 +292,7 @@ class TestPlantedCertificate:
             assert not report.passed
 
     def test_support_mismatch_rejected(self):
-        model = PlantedModel(m=12, n=10, M=4, N=5, sigma0=2.0,
-                             noise_family="none")
+        model = PlantedModel(m=12, n=10, M=4, N=5, sigma0=2.0, c3=0.0)
         inst = plant_rank_one(model, seed=3)
         sol = solve(np.ones((12, 10)) + np.eye(12, 10), tight(0.01))
         with pytest.raises(ValueError):

@@ -83,12 +83,14 @@ class TestSolveCommand:
     @pytest.mark.parametrize("flag, want_code, message", [
         pytest.param("--tol", 1, "tol_primal must lie in (0, 1)", id="--tol"),
         *(pytest.param(flag, 2, f"unrecognized arguments: {flag} 0", id=flag)
-          for flag in ("--tol-primal", "--tol-dual", "--tol-gap")),
+          for flag in ("--tol-primal", "--tol-dual", "--tol-gap",
+                       "--support-tol", "--penalty")),
     ])
     def test_zero_tolerance_rejected(self, demo_matrix, capsys, flag,
                                      want_code, message):
-        """``--tol 0`` fails the config check; the per-tolerance flags of
-        earlier releases are refused by the parser, never silently ignored."""
+        """``--tol 0`` fails the config check; the solver flags of earlier
+        releases (one per tolerance, --support-tol and --penalty) are
+        refused by the parser, never silently ignored."""
         try:
             code = run(["solve", "--input", demo_matrix, "--theta", "0.5",
                         flag, "0"])
@@ -198,6 +200,35 @@ class TestPlantCommand:
         assert m1.read_bytes() == m2.read_bytes()
 
 
+    @pytest.mark.parametrize("flag, message", [
+        ("--c3=nan", "c3 must be finite and nonnegative, got nan"),
+        ("--c3=inf", "c3 must be finite and nonnegative, got inf"),
+        ("--c3=1e308", "noise bound 2*c3*sigma0 overflows at c3=1e+308, "
+                       "sigma0=1.0"),
+        ("--sigma0=nan", "sigma0 must be finite and positive, got nan"),
+        ("--sigma0=inf", "sigma0 must be finite and positive, got inf"),
+        ("--c1=nan", "c1 must be finite and nonnegative, got nan"),
+        ("--c2=1e308", "entries can overflow at sigma0=1.0, c1=0.0, "
+                       "c2=1e+308, c3=0.1")],
+        ids=["c3-nan", "c3-inf", "c3-1e308", "sigma0-nan", "sigma0-inf",
+             "c1-nan", "c2-1e308"])
+    def test_bad_model_parameter_named(self, tmp_path, capsys, flag,
+                                       message):
+        mtx = tmp_path / "inst.mtx"
+        assert run(["plant", "--m", "12", "--n", "12", "--M", "4", "--N",
+                    "4", flag, "--matrix-output", str(mtx)]) == 1
+        assert capsys.readouterr().err == f"laros plant: {message}\n"
+        assert not mtx.exists()
+
+    def test_none_noise_family_refused(self, tmp_path, capsys):
+        # c3 = 0 gives the noise-free matrix under either family
+        with pytest.raises(SystemExit) as exc:
+            run(["plant", "--noise-family", "none",
+                 "--matrix-output", str(tmp_path / "inst.mtx")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'none'" in capsys.readouterr().err
+
+
 class TestCertifyCommand:
     def test_certify_solve_output(self, demo_matrix, tmp_path):
         xout = tmp_path / "x.mtx"
@@ -230,6 +261,21 @@ class TestCertifyCommand:
                     str(xout), "--certificate", str(cout), "--theta", "0.5",
                     "--output", str(out)]) == 0
         assert not load(out)["result"]["passed"]
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "1",
+                                       "-1"])
+    def test_residual_tol_rejected_before_reading(self, tmp_path, capsys,
+                                                  value):
+        # at inf every certificate passed, and NaN and inf were written
+        # into the record, which is then not JSON
+        missing = str(tmp_path / "nope.mtx")
+        assert run(["certify", "--input", missing, "--solution", missing,
+                    "--certificate", missing, "--theta", "0.5",
+                    f"--residual-tol={value}"]) == 1
+        assert capsys.readouterr().err == (
+            f"laros certify: --residual-tol must lie in (0, 1), got "
+            f"{float(value)}\n")
 
 
 class TestCertifyChecksFiles:
@@ -410,8 +456,7 @@ class TestManifest:
 
     def test_records_the_solver_settings_that_ran(self, demo_matrix,
                                                   tmp_path):
-        flags = ["--penalty", "2", "--max-iters", "3000", "--tol", "1e-6",
-                 "--support-tol", "1e-5"]
+        flags = ["--max-iters", "3000", "--tol", "1e-6"]
         runs = {
             "solve": ["--input", demo_matrix, "--theta", "0.5"],
             "nmf": ["--input", demo_matrix, "--theta", "0.5",
@@ -419,10 +464,71 @@ class TestManifest:
                     "--h-output", str(tmp_path / "h.mtx")],
             "biclique": ["--m", "20", "--n", "20", "--M", "6", "--N", "6"],
         }
-        want = {"penalty": 2.0, "max_iters": 3000, "tol_primal": 1e-6,
-                "tol_dual": 1e-6, "tol_gap": 1e-6, "support_tol": 1e-5}
+        want = {"max_iters": 3000, "tol_primal": 1e-6, "tol_dual": 1e-6,
+                "tol_gap": 1e-6}
         for command, args in runs.items():
             out = tmp_path / f"{command}.json"
             assert run([command] + args + flags + ["--output", str(out)]) == 0
             params = load(out)["manifest"]["parameters"]
             assert {k: params[k] for k in want} == want, command
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+# the float flags of each command, and arguments that run it small
+_FLOAT_FLAGS = {
+    "solve": ("--theta", "--tol"),
+    "plant": ("--sigma0", "--c1", "--c2", "--c3"),
+    "certify": ("--theta", "--residual-tol"),
+    "nmf": ("--theta", "--tol"),
+    "biclique": ("--p-edge", "--theta", "--tol"),
+}
+
+
+@pytest.fixture(scope="module")
+def solved_demo(tmp_path_factory):
+    """The demo matrix, its solution and its certificate (files)."""
+    d = tmp_path_factory.mktemp("demo")
+    demo, x, cert = d / "demo.mtx", d / "x.mtx", d / "cert.json"
+    write_matrix(demo, two_block_matrix())
+    assert run(["solve", "--input", str(demo), "--theta", "0.5",
+                "--output", str(d / "s.json"), "--solution-output", str(x),
+                "--certificate-output", str(cert)]) == 0
+    return demo, x, cert
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e308", "-1", "0"])
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, flags in _FLOAT_FLAGS.items()
+    for flag in flags])
+def test_float_flag_extremes(solved_demo, tmp_path, capsys, command, flag,
+                             value):
+    """A float flag at any value either runs to a record of strict JSON or
+    fails with one line naming the command, never with a traceback."""
+    demo, x, cert = solved_demo
+    small = ["--max-iters", "200"]
+    base = {
+        "solve": ["--input", str(demo), "--theta", "0.5", *small],
+        "plant": ["--m", "12", "--n", "12", "--M", "4", "--N", "4",
+                  "--matrix-output", str(tmp_path / "p.mtx")],
+        "certify": ["--input", str(demo), "--solution", str(x),
+                    "--certificate", str(cert), "--theta", "0.5"],
+        "nmf": ["--input", str(demo), "--theta", "0.5", "--features", "1",
+                "--w-output", str(tmp_path / "w.mtx"),
+                "--h-output", str(tmp_path / "h.mtx"), *small],
+        "biclique": ["--m", "12", "--n", "12", "--M", "4", "--N", "4",
+                     *small],
+    }[command]
+    out = tmp_path / "record.json"
+    # the flag comes last, so that it overrides a value in base
+    code = run([command, *base, f"{flag}={value}", "--output", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 1)
+    if code:
+        assert err.startswith(f"laros {command}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+    else:
+        json.loads(out.read_text(), parse_constant=_reject_constant)

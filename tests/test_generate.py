@@ -1,22 +1,36 @@
 """Tests for the instance generators."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from laros.generate import (PlantedModel, plant_biclique, plant_rank_one,
-                            sample_noise, two_block_matrix)
+from laros.generate import (NOISE_FAMILIES, PlantedModel, plant_biclique,
+                            plant_rank_one, sample_noise, two_block_matrix)
 from laros.linalg import norm
 
 
 class TestSampleNoise:
-    def test_none_family(self):
-        out = sample_noise("none", 2.0, 0.3, 4, 5, seed=0)
+    @pytest.mark.parametrize("family", NOISE_FAMILIES)
+    def test_zero_c3_gives_zeros(self, family):
+        out = sample_noise(family, 2.0, 0.0, 4, 5, seed=0)
         assert out.shape == (4, 5)
         assert not out.any()
+
+    @pytest.mark.parametrize("sigma0, c3, message", [
+        (math.nan, 0.1, "sigma0 must be finite and positive, got nan"),
+        (0.0, 0.1, "sigma0 must be finite and positive, got 0.0"),
+        (1.0, math.nan, "c3 must be finite and nonnegative, got nan"),
+        (1.0, -0.1, "c3 must be finite and nonnegative, got -0.1"),
+        (1e300, 1e10, "noise bound 2\\*c3\\*sigma0 overflows")],
+        ids=["sigma0-nan", "sigma0-zero", "c3-nan", "c3-negative",
+             "overflow"])
+    def test_bad_scale_named(self, sigma0, c3, message):
+        with pytest.raises(ValueError, match=message):
+            sample_noise("uniform", sigma0, c3, 2, 2, seed=0)
 
     def test_uniform_mean(self):
         out = sample_noise("uniform", 2.0, 0.3, 400, 250, seed=1)
@@ -49,6 +63,11 @@ class TestPlantedModel:
         model = PlantedModel(m=4, n=4, M=2, N=2, c3=0.3)
         assert model.b == 0.3
 
+    def test_b_is_derived(self):
+        assert "b" not in [f.name for f in fields(PlantedModel)]
+        assert PlantedModel(m=4, n=4, M=2, N=2).b == 1.0
+        assert PlantedModel(m=4, n=4, M=2, N=2, c3=0.1).b == 0.1
+
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             PlantedModel(m=4, n=4, M=2, N=2, noise_family="cauchy")
@@ -56,8 +75,7 @@ class TestPlantedModel:
 
 class TestPlantRankOne:
     def test_noiseless_block(self):
-        model = PlantedModel(m=4, n=4, M=2, N=2, sigma0=2.0,
-                             noise_family="none")
+        model = PlantedModel(m=4, n=4, M=2, N=2, sigma0=2.0, c3=0.0)
         inst = plant_rank_one(model, seed=0)
         expected = np.zeros((4, 4))
         expected[:2, :2] = 2.0
@@ -88,7 +106,7 @@ class TestPlantRankOne:
            st.floats(0.0, 0.8))
     def test_factor_caps_and_positivity(self, seed, c1, c2):
         model = PlantedModel(m=9, n=8, M=4, N=3, sigma0=1.0, c1=c1, c2=c2,
-                             noise_family="none", p_seed=seed,
+                             c3=0.0, p_seed=seed,
                              q_seed=seed + 1)
         inst = plant_rank_one(model, seed=0)
         block = inst.a[:4, :3]

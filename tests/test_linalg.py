@@ -447,8 +447,8 @@ class TestGramSvt:
 
         monkeypatch.setattr(solver_module, "_nuclear_prox",
                             lambda shape: checked)
-        sol = solve(a, SolverConfig(theta=theta, penalty=penalty,
-                                    max_iters=2000))
+        monkeypatch.setattr(solver_module, "_PENALTY", penalty)
+        sol = solve(a, SolverConfig(theta=theta, max_iters=2000))
         assert len(calls) == sol.iterations
 
 

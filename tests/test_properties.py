@@ -193,7 +193,7 @@ class TestGeneratorProperties:
             c2 = float(rng.uniform(0.0, 0.6))
             sigma0 = float(rng.uniform(0.5, 3.0))
             model = PlantedModel(m=7, n=8, M=3, N=4, sigma0=sigma0, c1=c1,
-                                 c2=c2, noise_family="none", p_seed=p_seed,
+                                 c2=c2, c3=0.0, p_seed=p_seed,
                                  q_seed=q_seed)
             inst = plant_rank_one(model, seed=case)
             u0 = 1.0 + _perturbation(3, c1 * math.sqrt(3.0), p_seed)
