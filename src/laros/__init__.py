@@ -16,7 +16,7 @@ from .nmf import NmfResult, greedy_extract, residual_update
 from .solver import (CertificateUnavailableError, ConvergenceError,
                      DualCertificate, OptimalityReport, RankOneParts,
                      Solution, SolverConfig, SolverState, check_optimality,
-                     dual_theta_norm, extract_rank_one, recover_dual, solve)
+                     extract_rank_one, recover_dual, solve)
 
 __all__ = [
     "BlockSelector", "CertificateUnavailableError", "ConvergenceError",
@@ -24,11 +24,10 @@ __all__ = [
     "PlantedCertificateReport", "PlantedInstance", "PlantedModel",
     "RankOneParts", "RegimeReport", "RowRatioReport", "Solution",
     "SolverConfig", "SolverState", "build_planted_certificate",
-    "check_optimality", "dual_theta_norm", "extract_rank_one",
-    "greedy_extract", "norm", "plant_biclique", "plant_rank_one",
-    "recover_dual", "residual_update", "row_ratio_check",
-    "row_zero_threshold", "row_zero_thresholds", "sample_noise",
-    "soft_threshold", "solve", "subgaussian_tail_bound", "svt", "theta_A",
-    "theta_B", "theta_norm", "top_block", "two_block_matrix",
-    "validate_planted_regime",
+    "check_optimality", "extract_rank_one", "greedy_extract", "norm",
+    "plant_biclique", "plant_rank_one", "recover_dual", "residual_update",
+    "row_ratio_check", "row_zero_threshold", "row_zero_thresholds",
+    "sample_noise", "soft_threshold", "solve", "subgaussian_tail_bound",
+    "svt", "theta_A", "theta_B", "theta_norm", "top_block",
+    "two_block_matrix", "validate_planted_regime",
 ]

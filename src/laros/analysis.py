@@ -158,8 +158,7 @@ def row_ratio_check(a, sol, theta, dual_norm):
     must satisfy (a_i . v)/(theta*||v||_1 + u_i) = dual norm, and every zero
     row j must satisfy (a_j . v)/(theta*||v||_1) <= dual norm; columns
     symmetrically. Residuals are relative to the dual norm, which the
-    caller supplies (1 / sol.objective for an exact solve; see
-    dual_theta_norm).
+    caller supplies (1 / sol.objective for an exact solve).
     """
     am = as_matrix(a)
     if theta <= 0:
@@ -198,10 +197,12 @@ def subgaussian_tail_bound(u, b, m, n):
     """Tail probability bound for the spectral norm of an m-by-n matrix of
     independent b-subgaussian entries: exp(-(8u^2/(81b^2) - log(7)(m+n))),
     clamped into [0, 1]."""
-    if u <= 0 or b <= 0:
-        raise ValueError("u and b must be positive")
+    # written so that NaN fails too
+    if not (0.0 < u < math.inf and 0.0 < b < math.inf):
+        raise ValueError(f"u and b must be finite and positive, got {u}, {b}")
     exponent = 8.0 * u * u / (81.0 * b * b) - LOG7 * (m + n)
-    return min(1.0, math.exp(-exponent))
+    # clamped before exp, which overflows for m + n above about 365
+    return 1.0 if exponent <= 0 else math.exp(-exponent)
 
 
 @dataclass(frozen=True)

@@ -336,14 +336,14 @@ def main(argv=None):
     start = time.perf_counter()
     try:
         result, inputs, params = args.func(args)
+        manifest = {"command": args.command, "inputs": inputs,
+                    "parameters": params, "version": __version__,
+                    "duration_seconds": time.perf_counter() - start}
+        _emit({"manifest": manifest, "result": result}, args.output)
     except (ValueError, OSError, ConvergenceError, MatrixParseError,
             CertificateUnavailableError) as exc:
         print(f"laros {args.command}: {exc}", file=sys.stderr)
         return 1
-    manifest = {"command": args.command, "inputs": inputs,
-                "parameters": params, "version": __version__,
-                "duration_seconds": time.perf_counter() - start}
-    _emit({"manifest": manifest, "result": result}, args.output)
     return 0
 
 

@@ -24,15 +24,6 @@ def as_matrix(a):
     return m
 
 
-def _signed_pairs(u, vt):
-    """Copies of the pairs (columns of u, rows of vt), each negated where
-    the largest-magnitude component of its left vector (the first such
-    index on ties) is negative."""
-    top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
-    sign = np.where(top < 0, -1.0, 1.0)
-    return u * sign, vt * sign[:, None]
-
-
 def norm(a, kind):
     """Matrix norm of `a`: one of 'nuclear', 'spectral', 'l1', 'linf'.
 

@@ -67,6 +67,20 @@ def _text_lines(text):
         yield no + 1, text[start:], len(text)
 
 
+def _undecodable(path):
+    """Line (as `str.splitlines` numbers it) and error message of the first
+    byte of file `path` that is not UTF-8."""
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        start = exc.start
+        line = len(_LINE_BREAK.findall(data[:start].decode("utf-8"))) + 1
+        return line, f"not UTF-8 text: byte {data[start]:#04x} ({exc.reason})"
+    raise AssertionError(f"{path} decodes as UTF-8 when read again")
+
+
 def _floats(tokens, count):
     """float64 array of `tokens` converted by Python's `float`, or None if
     there are not `count` of them or one is not a finite number."""
@@ -87,13 +101,17 @@ def parse_matrix(path):
     array data is column-major per the format definition; coordinate files
     use 1-based indices and densify missing entries to zero.
 
-    Array and CSV values are converted as one token list; only a file that
-    fails a check is walked line by line, to name the offending line. The
-    array body is tokenized straight from the file's text, which is split
-    into lines only for a body with comments or for the error walk.
+    Array values are converted as one token list; only a file that fails a
+    check is walked line by line, to name the offending line. The array
+    body is tokenized straight from the file's text, which is split into
+    lines only for a body with comments or for the error walk. CSV is
+    converted row by row, so its one walk names the line of a fault.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        raise MatrixParseError(path, *_undecodable(path)) from None
     if not text:
         raise MatrixParseError(path, 1, "empty file")
 
@@ -192,34 +210,24 @@ def _parse_mm_coordinate(text, path):
 
 
 def _parse_csv(lines, path):
-    tokens = []
-    width = None
-    for _, text in _data_lines(lines):
-        fields = text.split(",")
+    """Rows of CSV `lines`; a ragged row or bad field raises at its line."""
+    rows, width = [], None
+    for no, text in _data_lines(lines):
+        # str.strip, not float's own trimming: float rejects "\x1f"
+        fields = list(map(str.strip, text.split(",")))
         if width is None:
             width = len(fields)
         elif len(fields) != width:
-            _raise_csv_error(lines, path, width)
-        # str.strip, not float's own trimming: float rejects "\x1f"
-        tokens.extend(map(str.strip, fields))
-    if width is None:
-        raise MatrixParseError(path, len(lines) + 1, "no data rows")
-    values = _floats(tokens, len(tokens))
-    if values is None:
-        _raise_csv_error(lines, path, width)
-    return values.reshape((-1, width))
-
-
-def _raise_csv_error(lines, path, width):
-    """Raise the error of the first ragged row or bad field."""
-    for no, text in _data_lines(lines):
-        fields = [t.strip() for t in text.split(",")]
-        if len(fields) != width:
             raise MatrixParseError(path, no,
                                    f"row has {len(fields)} fields, expected {width}")
-        for field in fields:
-            _float(field, path, no)
-    raise AssertionError("unreachable: every CSV row and field is valid")
+        row = _floats(fields, width)
+        if row is None:
+            for field in fields:
+                _float(field, path, no)
+        rows.append(row)
+    if width is None:
+        raise MatrixParseError(path, len(lines) + 1, "no data rows")
+    return np.stack(rows)
 
 
 def write_matrix(path, a):
@@ -278,6 +286,10 @@ def read_certificate(path, shape):
     with open(path, "r", encoding="utf-8") as handle:
         try:
             raw = json.load(handle)
+        except UnicodeDecodeError:
+            line, message = _undecodable(path)
+            raise ValueError(f"{path}: certificate is {message} on line "
+                             f"{line}") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: certificate is not JSON: "
                              f"{exc}") from None

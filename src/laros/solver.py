@@ -17,8 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (_l1_prox, _nuclear_prox, _signed_pairs, _support_svd,
-                     as_matrix, norm)
+from .linalg import _l1_prox, _nuclear_prox, _support_svd, as_matrix, norm
 
 
 # Entries per row block of the solver's passes. A pass touches at most six
@@ -109,7 +108,6 @@ class SolverState:
     """Stopping residuals of a solve and the dual certificate built at its
     last check (the final iterate)."""
 
-    a: np.ndarray
     theta: float
     iterations: int
     converged: bool
@@ -165,7 +163,6 @@ class RankOneParts:
     v: np.ndarray
     rows: np.ndarray          # 0-based, sorted
     cols: np.ndarray
-    is_rank_one: bool
 
 
 @dataclass
@@ -201,26 +198,26 @@ def extract_rank_one(x):
     xm = as_matrix(x)
     if not xm.any():
         return RankOneParts(0.0, np.zeros(xm.shape[0]), np.zeros(xm.shape[1]),
-                            np.array([], dtype=int), np.array([], dtype=int),
-                            False)
+                            np.array([], dtype=int), np.array([], dtype=int))
     return _rank_one_parts(xm, _support_svd(xm))
 
 
 def _rank_one_parts(xm, factors):
     """RankOneParts of a nonzero `xm` from its thin SVD (u, s, vt) or
-    `_support_svd`, with the leading pair's sign fixed so that the
+    `_support_svd`. The leading pair (u, v) is negated where the
     largest-magnitude component of u (the first such index on ties) is
-    nonnegative."""
+    negative, so that component is nonnegative."""
     u, s, vt = factors
-    u0, v0 = _signed_pairs(u[:, :1], vt[:1])
-    # + 0.0: the zeros off the support read 0.0 whichever sign a pair took
-    u0, v0 = u0[:, 0] + 0.0, v0[0] + 0.0
+    u0, v0 = u[:, 0], vt[0]
+    if u0[np.argmax(np.abs(u0))] < 0:
+        u0, v0 = -u0, -v0
+    # + 0.0: the zeros off the support read 0.0 whichever sign the pair took
+    u0, v0 = u0 + 0.0, v0 + 0.0
     mag = np.abs(xm)
     cutoff = _SUPPORT_TOL * mag.max()
     rows = np.flatnonzero(mag.max(axis=1) > cutoff)
     cols = np.flatnonzero(mag.max(axis=0) > cutoff)
-    rank_one = bool(s[0] > 0 and (s.size == 1 or s[1] <= 1e-6 * s[0]))
-    return RankOneParts(float(s[0]), u0, v0, rows, cols, rank_one)
+    return RankOneParts(float(s[0]), u0, v0, rows, cols)
 
 
 class _Check(NamedTuple):
@@ -505,7 +502,7 @@ def solve(a, config):
     parts = _rank_one_parts(chk.x_rep, chk.fx)
     unique_spectral = chk.spectral_gap > 1e-8 * max(float(chk.sy[0]), 1e-300)
     unique_linf = theta > 0 and cert.linf_argmax_count == 1
-    state = SolverState(a=am, theta=theta, iterations=k,
+    state = SolverState(theta=theta, iterations=k,
                         converged=converged, primal_residual=r_rel,
                         dual_residual=s_rel, cert_residual=chk.residual,
                         certificate=cert, history=history)
@@ -531,7 +528,7 @@ def recover_dual(a, theta, state):
         raise CertificateUnavailableError(
             "certificate requires a converged solve "
             f"(stopped after {state.iterations} iterations)")
-    if am.shape != state.a.shape or theta != state.theta:
+    if am.shape != state.certificate.y.shape or theta != state.theta:
         raise ValueError("state does not match the given problem")
     return state.certificate
 
@@ -575,19 +572,3 @@ def check_optimality(a, theta, x, cert):
                             decomposition=decomposition,
                             gap=gap)
 
-
-def dual_theta_norm(a, theta):
-    """Dual of the theta-norm at `a`: the reciprocal of the optimal value
-    of the constrained problem, computed by running the solver at the
-    default SolverConfig.
-
-    Equals min over Y+Z=a of max{||Y||, ||Z||_inf/theta} (for theta > 0).
-    """
-    am = as_matrix(a)
-    if not am.any():
-        raise ValueError("dual norm undefined at the zero matrix")
-    sol = solve(am, SolverConfig(theta=theta))
-    if not sol.converged:
-        raise ConvergenceError(
-            f"dual norm solve did not converge in {sol.iterations} iterations")
-    return 1.0 / sol.objective

@@ -214,6 +214,18 @@ class TestSubgaussianTailBound:
         with pytest.raises(ValueError):
             subgaussian_tail_bound(0.0, 1.0, 3, 3)
 
+    @pytest.mark.parametrize("u, b, m, n", [
+        (1.0, 1.0, 200, 200), (1.0, 1.0, 10 ** 6, 10 ** 6)])
+    def test_large_dimensions_clamp_to_one(self, u, b, m, n):
+        # exp(-exponent) overflowed here instead of being clamped
+        assert subgaussian_tail_bound(u, b, m, n) == 1.0
+
+    @pytest.mark.parametrize("u, b", [
+        (math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+    def test_rejects_non_finite(self, u, b):
+        with pytest.raises(ValueError, match="finite and positive"):
+            subgaussian_tail_bound(u, b, 3, 3)
+
 
 class TestValidatePlantedRegime:
     def model(self, **kw):

@@ -110,6 +110,14 @@ class TestSolveCommand:
             f"laros solve: {path}:4: entry must be 'i j value', got '2 2'\n")
         assert not out.exists()
 
+    def test_non_utf8_matrix_names_line(self, tmp_path, capsys):
+        path = tmp_path / "bin.mtx"
+        path.write_bytes(b"\x89PNG\r\n\x1a\n")
+        assert run(["solve", "--input", str(path), "--theta", "0.5"]) == 1
+        assert capsys.readouterr().err == (
+            f"laros solve: {path}:1: not UTF-8 text: byte 0x89 (invalid "
+            "start byte)\n")
+
     def test_reproducible_records(self, demo_matrix, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = ["solve", "--input", demo_matrix, "--theta", "0.5"]
@@ -354,6 +362,24 @@ class TestCertifyChecksFiles:
             f"laros certify: {xout}: solution has theta-norm 0 (it is all "
             "zeros), so it cannot be scaled to norm 1\n")
 
+    def test_non_utf8_solution(self, demo_matrix, solved, tmp_path, capsys):
+        xout, cout = solved
+        xout.write_bytes(b"%%MatrixMarket matrix array real general\r\n"
+                         b"6 6\n1.0\xff\n")
+        assert self._certify(demo_matrix, xout, cout, tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"laros certify: {xout}:3: not UTF-8 text: byte 0xff (invalid "
+            "start byte)\n")
+
+    def test_non_utf8_certificate(self, demo_matrix, solved, tmp_path,
+                                  capsys):
+        xout, cout = solved
+        cout.write_bytes(b'{\n  "alpha": 0.5,\r\n  "beta": "\xe9"\n}\n')
+        assert self._certify(demo_matrix, xout, cout, tmp_path) == 1
+        assert capsys.readouterr().err == (
+            f"laros certify: {cout}: certificate is not UTF-8 text: byte "
+            "0xe9 (invalid continuation byte) on line 3\n")
+
 
 class TestNmfCommand:
     def test_two_rounds(self, demo_matrix, tmp_path):
@@ -433,6 +459,19 @@ class TestBicliqueCommand:
         assert run(["biclique", *sizes]) == 1
         assert capsys.readouterr().err == (
             "laros biclique: block must fit inside the matrix\n")
+
+
+class TestRecordOutput:
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_unwritable_output_fails_in_one_line(self, tmp_path, capsys,
+                                                 where):
+        out = {"missing directory": tmp_path / "nodir" / "r.json",
+               "directory": tmp_path}[where]
+        assert run(["plant", "--kind", "two-block", "--matrix-output",
+                    str(tmp_path / "d.mtx"), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("laros plant: ") and err.count("\n") == 1
+        assert str(out) in err
 
 
 class TestManifest:

@@ -465,3 +465,114 @@ class TestArrayParseDifferential:
         # every kind of outcome was drawn
         assert outcomes >= {"ok", "missing", "size", "expected", "dimensions",
                             "more", "non-numeric", "non-finite"}
+
+
+def _walk_csv(path):
+    """Line-by-line reference parse of a CSV file: the matrix, or the
+    (line, message) of the first fault. A line's field count is checked
+    before its fields are converted."""
+    with open(path, "r", encoding="utf-8") as handle:
+        lines = handle.read().splitlines()
+    width, rows = None, []
+    for no, text in enumerate(lines, 1):
+        text = text.strip()
+        if not text or text.startswith("%"):
+            continue
+        fields = [field.strip() for field in text.split(",")]
+        if width is None:
+            width = len(fields)
+        elif len(fields) != width:
+            return no, f"row has {len(fields)} fields, expected {width}"
+        row = []
+        for field in fields:
+            try:
+                value = float(field)
+            except ValueError:
+                return no, f"non-numeric token {field!r}"
+            if not np.isfinite(value):
+                return no, f"non-finite value {field!r}"
+            row.append(value)
+        rows.append(row)
+    if width is None:
+        return len(lines) + 1, "no data rows"
+    return np.array(rows)
+
+
+class TestCsvParseDifferential:
+    """parse_matrix agrees with the line-by-line reference walk on random
+    CSV files: the same bits, or the same error line and message."""
+
+    PAD = ["", "", " ", "\t", "\x1f", "\xa0", " \t"]
+    BAD = ["x", "inf", "-nan", "1e999", ""]
+    EOL = ["\n", "\r\n", "\r"]
+    FILLER = ["% comment, 1, x", "", "   ", "\t% indented"]
+
+    def _row(self, rng, width):
+        fields = []
+        for _ in range(width):
+            value = float(rng.standard_normal()
+                          * 10.0 ** rng.integers(-310, 300))
+            token = rng.choice([repr(value), f"{value:.3e}", "-0", "1_000",
+                                "5e-324", ".5"])
+            fields.append(rng.choice(self.PAD) + token + rng.choice(self.PAD))
+        return fields
+
+    def _text(self, rng):
+        """A random CSV text and the order of its faults, a tuple of
+        'bad' and 'ragged' by row."""
+        width = int(rng.integers(1, 5))
+        rows = [self._row(rng, width) for _ in range(int(rng.integers(0, 6)))]
+        faults = {}
+        for _ in range(int(rng.choice([0, 0, 1, 2, 2]))):
+            if len(rows) < 2:
+                break
+            # row 0 sets the width, so a ragged row comes later
+            i = int(rng.integers(1, len(rows)))
+            if i in faults:
+                continue
+            if rng.random() < 0.5:
+                rows[i][int(rng.integers(width))] = str(rng.choice(self.BAD))
+                faults[i] = "bad"
+            else:
+                if rng.random() < 0.5 or width == 1:
+                    rows[i].append(rows[i][0])
+                else:
+                    rows[i].pop()
+                faults[i] = "ragged"
+        lines = []
+        for fields in rows:
+            while rng.random() < 0.3:
+                lines.append(str(rng.choice(self.FILLER)))
+            lines.append(",".join(fields))
+        if rng.random() < 0.3:
+            lines.append(str(rng.choice(self.FILLER)))
+        eols = [str(rng.choice(self.EOL)) for _ in lines]
+        if lines and rng.random() < 0.3:
+            eols[-1] = ""  # no line break at the end of the file
+        text = "".join(line + eol for line, eol in zip(lines, eols))
+        return text, tuple(faults[i] for i in sorted(faults))
+
+    def test_agrees_with_reference_walk(self, tmp_path):
+        rng = np.random.default_rng(9)
+        path = tmp_path / "a.csv"
+        outcomes, orders = set(), set()
+        for _ in range(600):
+            text, faults = self._text(rng)
+            if not text:
+                continue  # "empty file", which is not CSV's to report
+            path.write_text(text, encoding="utf-8", newline="")
+            want = _walk_csv(path)
+            if isinstance(want, tuple):
+                with pytest.raises(MatrixParseError) as err:
+                    parse_matrix(path)
+                assert (err.value.line, err.value.message) == want
+                outcomes.add(want[1].split()[0])
+            else:
+                got = parse_matrix(path)
+                assert got.shape == want.shape
+                assert (got.view(np.int64) == want.view(np.int64)).all()
+                outcomes.add("ok")
+            orders.add(faults[:2])
+        # every kind of outcome, and both orders of two faults, were drawn
+        assert outcomes >= {"ok", "row", "non-numeric", "non-finite", "no"}
+        assert orders >= {("bad", "ragged"), ("ragged", "bad")}

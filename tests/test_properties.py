@@ -17,7 +17,7 @@ from laros.generate import PlantedModel, plant_rank_one
 from laros.generate import _perturbation
 from laros.linalg import theta_norm
 from laros.nmf import greedy_extract
-from laros.solver import SolverConfig, dual_theta_norm, solve
+from laros.solver import SolverConfig, solve
 
 CASES = 200
 
@@ -56,7 +56,7 @@ class TestSolverProperties:
             a = rng.random((4, 5)) + 0.05
             theta = float(rng.uniform(0.05, 1.5))
             sol = solve(a, fast(theta))
-            dual = 1.0 / sol.objective  # dual_theta_norm by definition
+            dual = 1.0 / sol.objective
             assert theta_norm(sol.x * dual, theta) == pytest.approx(
                 1.0, abs=1e-8)
 

@@ -20,8 +20,7 @@ from laros.generate import (PlantedModel, plant_biclique, plant_rank_one,
 from laros.linalg import norm, theta_norm
 from laros.solver import (CertificateUnavailableError, DualCertificate,
                           OptimalityReport, SolverConfig, check_optimality,
-                          dual_theta_norm, extract_rank_one, recover_dual,
-                          solve)
+                          extract_rank_one, recover_dual, solve)
 
 from oracles import dr2_residuals, dual_norm_oracle, l1_halfspace_prox
 from test_linalg import small_matrix
@@ -122,6 +121,14 @@ class TestSolve:
         assert theta_norm(sol.scaled(), 0.8) == pytest.approx(1.0, abs=1e-12)
 
 
+def dual_theta_norm(a, theta):
+    """The dual theta-norm of `a`, 1 / objective of a converged solve at
+    the SolverConfig defaults."""
+    sol = solve(a, SolverConfig(theta=theta))
+    assert sol.converged
+    return 1.0 / sol.objective
+
+
 class TestDualThetaNorm:
     def test_singleton_balance(self):
         for c in (1.0, 3.0, 0.25):
@@ -145,10 +152,6 @@ class TestDualThetaNorm:
         best, _ = dual_norm_oracle(a, 1.0)
         assert val == pytest.approx(best, abs=1e-3)
 
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            dual_theta_norm(np.zeros((2, 2)), 0.5)
-
 
 class TestExtractRankOne:
     def test_single_spike(self):
@@ -158,21 +161,12 @@ class TestExtractRankOne:
         assert parts.sigma == pytest.approx(2.0)
         assert list(parts.rows) == [2]
         assert list(parts.cols) == [4]
-        assert parts.is_rank_one
 
     def test_two_block_solution_support(self):
         sol = solve(two_block_matrix(), tight(0.5))
         parts = extract_rank_one(sol.x)
         assert list(parts.rows) == [3, 4, 5]
         assert list(parts.cols) == [3, 4, 5]
-
-    def test_rank_one_flag(self):
-        rng = np.random.default_rng(4)
-        u = rng.random(5)
-        v = rng.random(4)
-        x = np.outer(u, v)
-        assert extract_rank_one(x).is_rank_one
-        assert not extract_rank_one(x + 0.05 * rng.random((5, 4))).is_rank_one
 
     def test_zero_matrix(self):
         parts = extract_rank_one(np.zeros((3, 3)))
