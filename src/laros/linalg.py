@@ -1,5 +1,8 @@
 """Dense matrix primitives: the four norms, the composite theta-norm, and
-the proximal operators of the nuclear and entrywise l1 norms."""
+the proximal operators of the nuclear and entrywise l1 norms. The
+spectral norm, and the certificate's singular values in the solver, come
+from the eigenvalues of the short-side Gram matrix
+(`_gram_singular_values`), not from an SVD."""
 
 import math
 
@@ -27,13 +30,18 @@ def as_matrix(a):
 def norm(a, kind):
     """Matrix norm of `a`: one of 'nuclear', 'spectral', 'l1', 'linf'.
 
-    l1 and linf are entrywise (applied to the vectorized matrix).
+    l1 and linf are entrywise (applied to the vectorized matrix). spectral
+    is `_gram_singular_values` of a / 2^e, with e chosen so that the
+    largest entry magnitude lies in [0.5, 1), scaled back by 2^e: the
+    scaling is exact, and the Gram matrix neither overflows nor underflows
+    for any finite scale of a.
     """
     m = as_matrix(a)
     if kind == "nuclear":
         return float(np.sum(_support_svd(m, compute_uv=False)))
     if kind == "spectral":
-        return float(np.linalg.svd(m, compute_uv=False)[0])
+        e = int(np.frexp(np.abs(m).max())[1])
+        return math.ldexp(float(_gram_singular_values(np.ldexp(m, -e))[0]), e)
     if kind == "l1":
         return float(np.abs(m).sum())
     if kind == "linf":
@@ -107,6 +115,18 @@ def _svt(m, tau):
     return left, vt
 
 
+def _gram_singular_values(m):
+    """The singular values of `m`, nonincreasing, from the eigenvalues of
+    the short-side Gram matrix (m m^T for wide m, m^T m otherwise): about
+    half the cost of a square SVD's values and far less for a wide or tall
+    m. sigma_1 comes to a few ulps; sigma_i to about eps sigma_1^2 /
+    sigma_i, so to a few ulps of sigma_1 near a tie (sigma_i ~ sigma_1).
+    The Gram matrix squares the entries: the caller keeps them in a range
+    where that neither overflows nor underflows."""
+    g = m @ m.T if m.shape[0] <= m.shape[1] else m.T @ m
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(g), 0.0))[::-1]
+
+
 def _factors(u, s, vt, tau):
     """svt from the thin SVD (u, s, vt) with s nonincreasing, as factors
     (L, R) = (u_r diag(s_r - tau), vt_r) of L @ R, where r = count(s > tau)
@@ -165,7 +185,18 @@ _PARTIAL_SVT_MIN_DIM = 80
 # k = 5-7). Two keep one probe column beyond the next Ritz value.
 _OVERSAMPLE = 2
 _SWEEPS = 12           # subspace sweeps per call before the LAPACK fallback
-_RESIDUAL_ULPS = 4     # kept triplets: ||m v - s u|| <= ULPS*k*eps*sigma_1
+# Kept triplets: ||m v - s u|| <= ULPS (sqrt(m) + sqrt(n) + k) eps sigma_1
+# for an m x n input and a block of k columns. A length-p product rounds
+# to about sqrt(p) eps times the norms of its factors (the probabilistic
+# bound of Higham-Mary 2019), so each term is one product's floor: m v has
+# n-long products, q^T m m-long ones (their error moves the Ritz vectors),
+# and u = q w with the QR of the block about k each. On an exactly
+# rank-one iterate the block m V is numerically rank one and the floor
+# nears these terms (OpenBLAS 0.3.31, one thread, planted iterates at
+# c3 = 0): at 480 x 480 it read up to 17 eps sigma_1 (the terms sum to 47),
+# at 2400 x 80 up to 67 (61). A bound of 4 k ulps sat below it there, so
+# the sweeps ran out and fell back to LAPACK.
+_RESIDUAL_ULPS = 2
 
 
 def _nuclear_prox(shape):
@@ -192,11 +223,11 @@ class _WarmSvt:
     n x k matrix m^T Q (about twice as fast as that of the wide Q^T m), and
     measures each residual ||m v - s u|| (m^T u = s v holds by
     construction). The call returns when every kept triplet
-    (s > tau) has a residual of a few ulps of sigma_1 per block column
-    (rounding in the k-column products sets a floor that grows with k) and
-    the next Ritz value plus its residual is at most tau. Ritz values
-    bound the singular values from below, so if every Ritz value exceeds
-    tau the block is too narrow to hold the output. Such a call, one whose
+    (s > tau) has a residual within a small multiple of the rounding
+    floor of the sweep's products (_RESIDUAL_ULPS) and the next Ritz value
+    plus its residual is at most tau. Ritz values bound the singular
+    values from below, so if every Ritz value exceeds tau the block is too
+    narrow to hold the output. Such a call, one whose
     block would reach min(m, n)/4, and one that runs out of sweeps use the
     full SVD, and the next call starts warm at the new rank. Random
     columns come from a generator seeded per instance, so a solve is
@@ -206,6 +237,7 @@ class _WarmSvt:
     def __init__(self, shape):
         self.n = shape[1]
         self.cap = min(shape) / 4
+        self.floor = math.sqrt(shape[0]) + math.sqrt(shape[1])
         self.rng = np.random.default_rng(0)
         self.basis = np.empty((self.n, 0))  # previous right Ritz vectors
         self.rank = 0                       # previous output rank
@@ -215,7 +247,7 @@ class _WarmSvt:
         if k < self.cap:
             fresh = self.rng.standard_normal((self.n, k - self.basis.shape[1]))
             y = m @ np.hstack([self.basis, fresh])
-            tol = _RESIDUAL_ULPS * k * np.finfo(float).eps
+            tol = _RESIDUAL_ULPS * (self.floor + k) * np.finfo(float).eps
             for _ in range(_SWEEPS):
                 q = np.linalg.qr(y)[0]
                 # m^T q as the transpose of the faster product q^T m

@@ -108,7 +108,9 @@ def parse_matrix(path):
     converted row by row, so its one walk names the line of a fault.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        # utf-8-sig: a leading byte-order mark, as spreadsheet exports
+        # write it, is not part of the first line
+        with open(path, "r", encoding="utf-8-sig") as handle:
             text = handle.read()
     except UnicodeDecodeError:
         raise MatrixParseError(path, *_undecodable(path)) from None
@@ -283,7 +285,7 @@ def read_certificate(path, shape):
     in `DualCertificate` (`spectral_gap`, `linf_argmax_count`) may be
     missing.
     """
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:
         try:
             raw = json.load(handle)
         except UnicodeDecodeError:

@@ -17,7 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import _l1_prox, _nuclear_prox, _support_svd, as_matrix, norm
+from .linalg import (_gram_singular_values, _l1_prox, _nuclear_prox,
+                     _support_svd, as_matrix, norm)
 
 
 # Entries per row block of the solver's passes. A pass touches at most six
@@ -35,10 +36,16 @@ _ROOT_PASSES = 64
 # diagnostic reads non-unique on problems whose optimal dual set has
 # untied points; the overshoot of 1.3 lands strictly below the threshold.
 _RELAX = 1.3
-# The stopping test is read, and its sums are taken, at every multiple of
-# _CHECK_EVERY and at max_iters. The certificate is checked there where the
-# primal and dual residuals pass (a failing one could not stop the solve),
-# and always at max_iters.
+# The stopping test is read, and its sums are taken, at the iterations of
+# _EARLY_CHECKS, at every multiple of _CHECK_EVERY and at max_iters. The
+# certificate is checked there where the primal and dual residuals pass (a
+# failing one could not stop the solve), and always at max_iters. The early
+# tests let a well-conditioned solve stop near where it certifies: planted
+# 480 x 480 (block 160, c3 = 0.1, tol 1e-7) certifies at 16 on most seeds
+# (and passes r and s there first) and by 24 on the rest (README). A solve
+# that runs longer pays three more passes of sums, and a certificate check
+# only where r and s already pass.
+_EARLY_CHECKS = (8, 16, 24)
 _CHECK_EVERY = 25
 # rho = _PENALTY ||A||_F; the nuclear prox thresholds at 1/rho. 1.5 rather
 # than 1.0: on held-out biclique draws 1.0 lost certificates that 1.5 keeps
@@ -264,14 +271,11 @@ def _check(a, theta, x2, g2):
     z = np.divide(g2, lam, out=g2)
     y = a - z
 
-    # sigma(Y) from the eigenvalues of the short-side Gram matrix, at about
-    # half the cost of a square SVD and far less for a wide or tall Y. Only
-    # sigma_1 and sigma_2 are read. sigma_1 comes to a few ulps; sigma_2 to
-    # about eps sigma_1^2 / sigma_2, so to a few ulps of sigma_1 near a tie
-    # (sigma_2 ~ sigma_1), the one place where the uniqueness test on the
-    # gap sigma_1 - sigma_2 reads it closely.
-    sy = np.sqrt(np.maximum(np.linalg.eigvalsh(
-        y @ y.T if y.shape[0] <= y.shape[1] else y.T @ y), 0.0))[::-1]
+    # only sigma_1 and sigma_2 are read: sigma_2 to a few ulps of sigma_1
+    # near a tie, the one place where the uniqueness test on the gap
+    # sigma_1 - sigma_2 reads it closely. Y is of the scale of a / 2^e,
+    # whose entries lie in (-1, 1), so its Gram matrix cannot overflow.
+    sy = _gram_singular_values(y)
     ny = float(sy[0])
     nz = float(np.abs(z).max())
     d_z = nz / theta if theta > 0 else ny
@@ -399,11 +403,12 @@ def solve(a, config):
     x1 = prox_f(z) by singular value thresholding, w = 2 x1 - z,
     x2 = prox_g(w) by a soft threshold whose halfspace multiplier is found
     by a one-dimensional root find (_GProx), and z += _RELAX (x2 - x1).
-    Stops when ||x1 - x2||, the drift of x2, the certificate residual and
-    the certified gap all fall below the configured tolerances. On
-    non-convergence the final iterate is returned with converged=False.
-    Either way the dual certificate is the one checked at the final
-    iterate. Every stopping test is recorded in state.history.
+    Stops at the first stopping test (iterations 8, 16 and 24, every 25th
+    and max_iters) where ||x1 - x2||, the drift of x2, the certificate
+    residual and the certified gap all fall below the configured
+    tolerances. On non-convergence the final iterate is returned with
+    converged=False. Either way the dual certificate is the one checked at
+    the final iterate. Every stopping test is recorded in state.history.
 
     The problem is homogeneous in a: the splitting runs on a / 2^e, with e
     chosen so that ||a / 2^e||_inf lies in [0.5, 1), where ||a||_F^2 and
@@ -453,7 +458,8 @@ def solve(a, config):
             # NaN)
             raise ValueError(f"solver iterate is not finite at iteration {k}")
         h = prox_g(w, x2, z, h)
-        if k % _CHECK_EVERY and k != config.max_iters:
+        if (k % _CHECK_EVERY and k not in _EARLY_CHECKS
+                and k != config.max_iters):
             continue
         # x1 formed again as in the first pass, so that x2 - x1 is not
         # read off z, where it would cancel against z's larger entries
@@ -553,7 +559,8 @@ def check_optimality(a, theta, x, cert):
     ny = norm(y, "spectral")
     nz = norm(z, "linf")
     d_z = nz / theta if theta > 0 else ny
-    scale = max(ny, d_z, 1e-300)
+    tiny = np.finfo(float).tiny   # for an all-zero certificate
+    scale = max(ny, d_z, tiny)
     balance = abs(ny - nz / theta) / scale if theta > 0 else nz / scale
     nuc_x = norm(xm, "nuclear")
     l1_x = norm(xm, "l1")
@@ -561,8 +568,14 @@ def check_optimality(a, theta, x, cert):
     l1_alignment = abs(float(np.vdot(xm, z)) - l1_x * nz) / scale
     scalar_sum = abs(cert.alpha + theta * cert.beta - 1.0)
     normalization = abs(nuc_x + theta * l1_x - 1.0)
-    decomposition = float(np.linalg.norm(y + z - am)) / max(
-        float(np.linalg.norm(am)), 1e-300)
+    # both Frobenius norms taken of A / 2^e, as in solve, where their
+    # squares neither overflow nor underflow; the scaling is exact
+    e = int(np.frexp(np.abs(am).max())[1])
+    rest = np.ldexp(y, -e)
+    rest += np.ldexp(z, -e)
+    rest -= np.ldexp(am, -e)
+    decomposition = float(np.linalg.norm(rest)) / max(
+        float(np.linalg.norm(np.ldexp(am, -e))), tiny)
     gap = max(0.0, max(ny, d_z) - float(np.vdot(am, xm))) / scale
     return OptimalityReport(balance=balance,
                             nuclear_alignment=nuclear_alignment,

@@ -7,12 +7,14 @@ must agree to 1e-12 relative. Regenerate the files, only when a record
 change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints, for each file, every field that moved (its path, old -> new
+value and relative change) or "unchanged".
 """
 
 import json
 import math
 import os
-import sys
 import tempfile
 from pathlib import Path
 
@@ -102,10 +104,60 @@ def test_golden_set_complete(records):
     assert sorted(records) == sorted(p.name for p in GOLDEN.glob("*.json"))
 
 
+MISSING = "<missing>"
+
+
+def moves(old, new, where="$"):
+    """(path, old, new) of each field that differs between two records;
+    a key on one side only, or a list of another length, moves whole."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(set(old) | set(new)):
+            yield from moves(old.get(key, MISSING), new.get(key, MISSING),
+                             f"{where}.{key}")
+    elif (isinstance(old, list) and isinstance(new, list)
+          and len(old) == len(new)):
+        for i, (o, n) in enumerate(zip(old, new)):
+            yield from moves(o, n, f"{where}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        yield where, old, new
+
+
+def describe(path, old, new):
+    """One line for a moved field: path, old -> new, relative change."""
+    line = f"  {path}: {old!r} -> {new!r}"
+    numbers = all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                  for v in (old, new))
+    if numbers and old != 0:
+        line += f" (relative change {(new - old) / abs(old):+.3e})"
+    return line
+
+
+def test_moves_name_each_moved_field():
+    old = {"a": 1.0, "b": [1, 2], "c": {"d": "x", "e": True}, "f": 0.0}
+    new = {"a": 1.5, "b": [1, 2, 3], "c": {"d": "x", "e": False}, "g": 0}
+    assert list(moves(old, new)) == [
+        ("$.a", 1.0, 1.5), ("$.b", [1, 2], [1, 2, 3]), ("$.c.e", True, False),
+        ("$.f", 0.0, MISSING), ("$.g", MISSING, 0)]
+    assert list(moves(new, new)) == []
+    assert describe("$.a", 1.0, 1.5) == (
+        "  $.a: 1.0 -> 1.5 (relative change +5.000e-01)")
+    assert describe("$.c.e", True, False) == "  $.c.e: True -> False"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for name, record in generate(Path(tmp)).items():
+            path = GOLDEN / name
             text = json.dumps(record, indent=2, sort_keys=True) + "\n"
-            (GOLDEN / name).write_text(text)
-            print(f"wrote {GOLDEN / name}", file=sys.stderr)
+            if not path.exists():
+                path.write_text(text)
+                print(f"wrote {path}: new file")
+                continue
+            old = json.loads(path.read_text())
+            path.write_text(text)
+            lines = [describe(*m) for m in moves(old, json.loads(text))]
+            print(f"wrote {path}: " + (f"{len(lines)} moved field(s)"
+                                       if lines else "unchanged"))
+            for line in lines:
+                print(line)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from laros import linalg
 from laros import solver as solver_module
-from laros.generate import two_block_matrix
+from laros.generate import PlantedModel, plant_rank_one, two_block_matrix
 from laros.linalg import norm, soft_threshold, svt, theta_norm
 from laros.solver import SolverConfig, solve
 
@@ -41,6 +41,21 @@ class TestNorms:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             norm(np.eye(2), "operator")
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300, 1e-300, 2.0 ** 1000,
+                                       2.0 ** -1000])
+    def test_spectral_matches_svd(self, scale):
+        # the Gram matrix of a / 2^e: at these scales the Gram matrix of a
+        # itself overflows or underflows
+        rng = np.random.default_rng(7)
+        shapes = [(1, 1), (1, 9), (9, 1), (1, 120), (120, 1)] + [
+            tuple(int(d) for d in rng.integers(1, 40, size=2))
+            for _ in range(12)]
+        for shape in shapes:
+            a = (rng.random(shape) - 0.3) * scale
+            want = float(np.linalg.svd(a, compute_uv=False)[0])
+            assert norm(a, "spectral") == pytest.approx(want, rel=1e-13, abs=0)
+            assert norm(np.zeros(shape), "spectral") == 0.0
 
 
 class TestThetaNorm:
@@ -355,6 +370,20 @@ class TestWarmSvt:
         # _OVERSAMPLE - 1 columns, C-ordered
         assert prox.basis.shape == (shape[1], rank + linalg._OVERSAMPLE - 1)
         assert prox.basis.flags.c_contiguous
+
+    def test_noise_free_rank_one_solve_never_falls_back(self, svd_shapes):
+        # an exactly rank-one 480 x 480 input (c3 = 0): the block m V is
+        # numerically rank one, and its residuals' rounding floor reaches
+        # about 17 eps sigma_1, above a bound of a few ulps per column
+        model = PlantedModel(m=480, n=480, M=160, N=160)
+        a = plant_rank_one(model, seed=0).a
+        assert isinstance(linalg._nuclear_prox(a.shape), linalg._WarmSvt)
+        sol = solve(a, SolverConfig(theta=1.0 / 160, tol_primal=1e-7,
+                                    tol_dual=1e-7, tol_gap=1e-7))
+        assert sol.converged
+        # the one full-shape SVD a solve could take is the fallback's: the
+        # check's SVD is of the candidate's 160 x 160 support
+        assert a.shape not in svd_shapes
 
     def test_sweep_budget_falls_back(self, monkeypatch, svd_shapes):
         rng = np.random.default_rng(35)

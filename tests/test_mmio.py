@@ -118,6 +118,49 @@ class TestRejections:
         assert err.value.message == message
 
 
+BOM = b"\xef\xbb\xbf"  # the UTF-8 byte-order mark
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet "CSV UTF-8" exports
+    write it, is not part of the file's first line."""
+
+    @pytest.mark.parametrize("name, text, want", [
+        ("m.csv", b"1,2\n3,4\n", [[1.0, 2.0], [3.0, 4.0]]),
+        ("a.mtx", b"%%MatrixMarket matrix array real general\n2 2\n"
+                  b"1\n2\n3\n4\n", [[1.0, 3.0], [2.0, 4.0]]),
+        ("c.mtx", b"%%MatrixMarket matrix coordinate real general\n"
+                  b"2 2 2\n1 1 1.5\n2 2 2.5\n", [[1.5, 0.0], [0.0, 2.5]])],
+        ids=["csv", "array", "coordinate"])
+    def test_matrix_read_as_without(self, tmp_path, name, text, want):
+        path = tmp_path / name
+        path.write_bytes(BOM + text)
+        np.testing.assert_array_equal(parse_matrix(path), want)
+
+    def test_certificate_read_as_without(self, tmp_path):
+        path = tmp_path / "cert.json"
+        cert = _certificate(np.random.default_rng(0), (3, 4))
+        write_certificate(path, cert)
+        path.write_bytes(BOM + path.read_bytes())
+        assert _record(read_certificate(path, (3, 4))) == _record(cert)
+
+    def test_not_utf8_keeps_its_line(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(BOM + b"1,2\n\xff3,4\n")
+        with pytest.raises(MatrixParseError) as err:
+            parse_matrix(path)
+        assert err.value.line == 2
+        assert err.value.message == ("not UTF-8 text: byte 0xff (invalid "
+                                     "start byte)")
+        cert = tmp_path / "cert.json"
+        cert.write_bytes(BOM + b'{\n  "alpha": "\xe9"\n}\n')
+        with pytest.raises(ValueError) as err:
+            read_certificate(cert, (2, 2))
+        assert str(err.value) == (
+            f"{cert}: certificate is not UTF-8 text: byte 0xe9 (invalid "
+            "continuation byte) on line 2")
+
+
 class TestRoundTrip:
     def test_array_bit_identical(self, tmp_path):
         p1, p2 = tmp_path / "m1.mtx", tmp_path / "m2.mtx"

@@ -265,6 +265,27 @@ class TestCheckOptimality:
         assert math.isnan(report.max_residual)
         assert not report.passed(1e-6)
 
+    @pytest.mark.parametrize("s", [1e200, 1e-300, 2.0 ** -1000, 1e307])
+    def test_scale_invariant(self, s):
+        # the demo's certificate at scale s, where the Gram matrix of Y and
+        # the squares of ||A||_F would overflow or underflow unscaled; the
+        # candidate has theta-norm 1 at any scale, and the residuals are
+        # relative, so they read as at scale 1 up to the rounding of the
+        # product by s
+        a = two_block_matrix()
+        sol = solve(a, SolverConfig(theta=0.5))
+        cert = recover_dual(a, 0.5, sol.state)
+        base = check_optimality(a, 0.5, sol.scaled(), cert)
+        assert base.passed(1e-8)
+        big = check_optimality(
+            a * s, 0.5, sol.scaled(),
+            replace(cert, y=cert.y * s, z=cert.z * s,
+                    dual_norm=cert.dual_norm * s,
+                    lambda_star=cert.lambda_star / s))
+        for f in fields(OptimalityReport):
+            assert getattr(big, f.name) == pytest.approx(
+                getattr(base, f.name), rel=0, abs=1e-12), f.name
+
     def test_shape_mismatch_rejected(self):
         b = np.random.default_rng(9).random((2, 3))
         cert = DualCertificate(y=b / 2, z=b / 2, alpha=0.5, beta=0.5,
@@ -382,8 +403,9 @@ class TestSolverInvariants:
         sol = solve(c04_instances()[case], config)
         assert sol.converged == (case == 1)
         history = sol.state.history
-        # a stopping test at every multiple of 25 and at max_iters
-        want = list(range(25, sol.iterations + 1, 25))
+        # a stopping test at 8, 16 and 24, at every multiple of 25 and at
+        # max_iters
+        want = [8, 16, 24] + list(range(25, sol.iterations + 1, 25))
         if not sol.converged:
             want.append(config.max_iters)
         assert [h["iteration"] for h in history] == want
@@ -422,6 +444,29 @@ class TestSolverInvariants:
         a = np.random.default_rng(14).random((5, 5))
         sol = solve(a, tight(0.5))
         assert not sol.non_unique
+
+
+class TestStoppingSchedule:
+    def test_planted_stops_where_it_certifies(self, monkeypatch):
+        # the bench model: checked at every iteration it first certifies
+        # at 16, where the early stopping tests let it stop
+        model = PlantedModel(m=480, n=480, M=160, N=160, c3=0.1,
+                             noise_family="uniform")
+        a = plant_rank_one(model, seed=1000).a
+        checks = []
+        check = solver_module._check
+
+        def counting_check(*args):
+            checks.append(1)
+            return check(*args)
+
+        monkeypatch.setattr(solver_module, "_check", counting_check)
+        sol = solve(a, SolverConfig(theta=1.0 / 160, tol_primal=1e-7,
+                                    tol_dual=1e-7, tol_gap=1e-7))
+        assert sol.converged and sol.iterations == 16
+        assert len(checks) == 1
+        assert [h["iteration"] for h in sol.state.history] == [8, 16]
+        assert sol.gap <= 1e-7
 
 
 class TestNuclearProxPath:
