@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import (_gram_singular_values, _scale_exponent, _support_svd,
+                     as_matrix, norm)
 
 LOG7 = math.log(7.0)
 
@@ -43,12 +44,14 @@ def theta_A(a):
     """Threshold below which the optimizer is provably unique and rank-one
     (requires sigma_1 > sigma_2): (sigma_1-sigma_2)/((3*sigma_1-sigma_2)*sqrt(mn)).
 
-    Returns 0 when sigma_1 = sigma_2.
+    Returns 0 when sigma_1 = sigma_2. The ratio is scale-free, so sigma_1
+    and sigma_2 are those of a / 2^e (`_scale_exponent`) by the Gram route:
+    to a few ulps, but about 1e-8 relative low on an exactly rank-one a.
     """
     am = as_matrix(a)
     if not am.any():
         raise ValueError("threshold undefined at the zero matrix")
-    s = np.linalg.svd(am, compute_uv=False)
+    s = _gram_singular_values(np.ldexp(am, -_scale_exponent(am)))
     s1 = float(s[0])
     s2 = float(s[1]) if s.size > 1 else 0.0
     if s1 <= s2:
@@ -167,7 +170,7 @@ def row_ratio_check(a, sol, theta, dual_norm):
     v = np.asarray(sol.v, dtype=float)
     if sol.sigma <= 0:
         raise ValueError("solution must be nonzero rank-one")
-    sx = np.linalg.svd(sol.x, compute_uv=False)
+    sx = _support_svd(as_matrix(sol.x), compute_uv=False)
     if sx.size > 1 and sx[1] > 1e-6 * sx[0]:
         raise ValueError("solution is not numerically rank-one")
     if u.min() < -1e-8 or v.min() < -1e-8:
@@ -323,7 +326,7 @@ def build_planted_certificate(a, model, sol, theta):
     w_mat[:bm, :bn] -= np.outer(u1, v1)
 
     def snorm(block):
-        return float(np.linalg.svd(block, compute_uv=False)[0]) if block.size else 0.0
+        return norm(block, "spectral") if block.size else 0.0
 
     w11 = snorm(w_mat[:bm, :bn])
     w12 = snorm(w_mat[:bm, bn:])

@@ -31,16 +31,15 @@ def norm(a, kind):
     """Matrix norm of `a`: one of 'nuclear', 'spectral', 'l1', 'linf'.
 
     l1 and linf are entrywise (applied to the vectorized matrix). spectral
-    is `_gram_singular_values` of a / 2^e, with e chosen so that the
-    largest entry magnitude lies in [0.5, 1), scaled back by 2^e: the
-    scaling is exact, and the Gram matrix neither overflows nor underflows
-    for any finite scale of a.
+    is `_gram_singular_values` of a / 2^e (`_scale_exponent`), scaled back
+    by 2^e: the scaling is exact, and the Gram matrix neither overflows nor
+    underflows for any finite scale of a.
     """
     m = as_matrix(a)
     if kind == "nuclear":
         return float(np.sum(_support_svd(m, compute_uv=False)))
     if kind == "spectral":
-        e = int(np.frexp(np.abs(m).max())[1])
+        e = _scale_exponent(m)
         return math.ldexp(float(_gram_singular_values(np.ldexp(m, -e))[0]), e)
     if kind == "l1":
         return float(np.abs(m).sum())
@@ -113,6 +112,12 @@ def _svt(m, tau):
     left = m @ vt.T
     left *= 1.0 - tau / s
     return left, vt
+
+
+def _scale_exponent(m):
+    """e with ||m / 2^e||_inf in [0.5, 1) (0 for a zero m): an exact scaling
+    after which sums of squares neither overflow nor underflow."""
+    return int(np.frexp(np.abs(m).max())[1])
 
 
 def _gram_singular_values(m):

@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analysis import BlockSelector
-from .linalg import as_matrix
+from .linalg import _scale_exponent, as_matrix
 from .solver import ConvergenceError, extract_rank_one, solve
 
 
@@ -72,10 +72,9 @@ def greedy_extract(a, p, theta, config):
     if len(thetas) != p:
         raise ValueError(f"theta schedule has {len(thetas)} entries, expected {p}")
 
-    # ||r||_F taken on r / 2^e, with ||a / 2^e||_inf in [0.5, 1), so that
-    # its sum of squares neither overflows nor underflows at any scale of
-    # a; the scaling is exact
-    e = int(np.frexp(np.abs(am).max())[1])
+    # ||r||_F taken on r / 2^e, whose sum of squares neither overflows nor
+    # underflows at any scale of a; the scaling is exact
+    e = _scale_exponent(am)
 
     def fro(r):
         return math.ldexp(float(np.linalg.norm(np.ldexp(r, -e))), e)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (_gram_singular_values, _l1_prox, _nuclear_prox,
-                     _support_svd, as_matrix, norm)
+                     _scale_exponent, _support_svd, as_matrix, norm)
 
 
 # Entries per row block of the solver's passes. A pass touches at most six
@@ -88,24 +88,23 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class DualCertificate:
-    """Decomposition A = Y + Z certifying (near-)optimality.
+    """Decomposition A = Y + Z certifying (near-)optimality, with what the
+    solver measured on Y and Z.
 
     dual_norm is the certificate's own dual value max{||Y||, ||Z||_inf/theta};
     at optimality it equals the dual norm of A. The diagnostics spectral_gap
     (sigma_1 - sigma_2 of Y) and linf_argmax_count (multiplicity of the
     entrywise max of |Z|) indicate, without proving, whether the primal
     optimizer is unique; they default to 0, as in a certificate file
-    written without them.
+    written without them. The norms of a candidate X are not stored:
+    `check_optimality` takes them from X.
 
     These fields are the certificate file's schema (`laros.mmio`).
     """
 
     y: np.ndarray
     z: np.ndarray
-    alpha: float
-    beta: float
     dual_norm: float
-    lambda_star: float
     spectral_gap: float = 0.0
     linf_argmax_count: int = 0
 
@@ -134,14 +133,13 @@ class OptimalityReport:
     """Residuals of the optimality system for a scaled candidate X.
 
     balance, nuclear_alignment, l1_alignment and gap are relative to the
-    certificate's dual value; scalar_sum, normalization and decomposition
-    are dimensionless. All small (<= tol) certifies optimality.
+    certificate's dual value; normalization and decomposition are
+    dimensionless. All small (<= tol) certifies optimality.
     """
 
     balance: float            # | ||Y|| - ||Z||_inf/theta |
     nuclear_alignment: float  # | <X,Y> - ||X||_* ||Y|| |
     l1_alignment: float       # | <X,Z> - ||X||_1 ||Z||_inf |
-    scalar_sum: float         # | alpha + theta*beta - 1 |
     normalization: float      # | ||X||_theta - 1 |
     decomposition: float      # ||Y + Z - A||_F / ||A||_F
     gap: float                # weak-duality slack, >= 0
@@ -150,8 +148,7 @@ class OptimalityReport:
     def max_residual(self):
         """The largest residual; NaN if any residual is NaN."""
         residuals = (self.balance, self.nuclear_alignment, self.l1_alignment,
-                     self.scalar_sum, self.normalization, self.decomposition,
-                     self.gap)
+                     self.normalization, self.decomposition, self.gap)
         # Python's max skips a NaN that is not its first argument
         if any(map(math.isnan, residuals)):
             return math.nan
@@ -262,7 +259,7 @@ def _check(a, theta, x2, g2):
     satisfies its norm bound
     and alignment exactly; all convergence error lands in Y. The SVD of the
     candidate, with vectors and taken on its support, also serves the
-    certificate's alpha and the solution's rank-one parts.
+    solution's rank-one parts.
     """
     x_rep = x2 / float(np.vdot(a, x2))
     fx = _support_svd(x_rep)
@@ -289,19 +286,15 @@ def _check(a, theta, x2, g2):
 
 def _dual_certificate(chk, e):
     """The DualCertificate of a check run on A / 2^e, in the units of A:
-    Y, Z and the dual norm scale by 2^e, in place for the check's arrays.
-    alpha and beta are the nuclear and l1 norms of the scaled solution
-    x_rep / lam, so alpha + theta*beta = 1 up to rounding."""
-    # before |Z| is formed, so that at most two m x n temporaries coexist
-    beta = float(np.abs(chk.x_rep / chk.lam).sum())
+    Y, Z, the dual norm and the spectral gap scale by 2^e, in place for
+    the check's arrays; linf_argmax_count counts the entries of |Z| within
+    1e-8 relative of its maximum."""
     zabs = np.abs(chk.z)
     zmax = float(zabs.max())
     ties = int(np.sum(zabs >= zmax * (1.0 - 1e-8))) if zmax > 0 else 0
     return DualCertificate(
         y=np.ldexp(chk.y, e, out=chk.y), z=np.ldexp(chk.z, e, out=chk.z),
-        alpha=float(np.sum(chk.fx[1])) / chk.lam, beta=beta,
         dual_norm=math.ldexp(chk.dual, e),
-        lambda_star=math.ldexp(1.0 / chk.dual, -e),
         spectral_gap=math.ldexp(chk.spectral_gap, e),
         linf_argmax_count=ties)
 
@@ -410,8 +403,8 @@ def solve(a, config):
     converged=False. Either way the dual certificate is the one checked at
     the final iterate. Every stopping test is recorded in state.history.
 
-    The problem is homogeneous in a: the splitting runs on a / 2^e, with e
-    chosen so that ||a / 2^e||_inf lies in [0.5, 1), where ||a||_F^2 and
+    The problem is homogeneous in a: the splitting runs on a / 2^e, with
+    ||a / 2^e||_inf in [0.5, 1) (`_scale_exponent`), where ||a||_F^2 and
     the iterates neither overflow nor underflow for any scale of a. The
     scaling is exact, so X, the objective and the certificate are mapped
     back exactly on exit.
@@ -420,7 +413,7 @@ def solve(a, config):
     if not am.any():
         raise ValueError("input matrix must be nonzero")
     theta = config.theta
-    e = int(np.frexp(np.abs(am).max())[1])
+    e = _scale_exponent(am)
     # every work array is C-ordered whatever the layout of the input, so
     # the results are too
     a = np.ascontiguousarray(np.ldexp(am, -e))
@@ -522,12 +515,10 @@ def solve(a, config):
 
 
 def recover_dual(a, theta, state):
-    """Dual certificate (Y, Z, alpha, beta) of a converged solve.
+    """Dual certificate (Y, Z and their measurements) of a converged solve.
 
     Returns the certificate built at the solve's last check, without new
-    computation. Y + Z = a holds exactly by construction; alpha and beta
-    are the nuclear and l1 norms of the scaled solution, so
-    alpha + theta*beta = 1.
+    computation. Y + Z = a holds exactly by construction.
     """
     am = as_matrix(a)
     if not state.converged:
@@ -543,11 +534,12 @@ def check_optimality(a, theta, x, cert):
     """Residual report for a scaled candidate `x` (theta-norm 1) and its
     certificate. Report-only: never raises on violated conditions.
 
-    Conditions: (balance) the certificate's two norms agree; (alignment)
-    x lies in the scaled subdifferentials of ||Y|| and ||Z||_inf; (scalars)
-    alpha + theta*beta = 1; (normalization) ||x||_theta = 1. At theta = 0
-    the balance residual degenerates to ||Z||_inf, which must vanish.
-    Raises ValueError when x, cert.y or cert.z is not of a's shape.
+    Conditions, read from a, x, cert.y and cert.z alone: (balance) the
+    certificate's two norms agree; (alignment) x lies in the scaled
+    subdifferentials of ||Y|| and ||Z||_inf; (normalization)
+    ||x||_theta = 1; (decomposition) Y + Z = A; (gap) weak duality. At
+    theta = 0 the balance residual degenerates to ||Z||_inf, which must
+    vanish. Raises ValueError when x, cert.y or cert.z is not of a's shape.
     """
     am = as_matrix(a)
     xm = as_matrix(x)
@@ -566,11 +558,10 @@ def check_optimality(a, theta, x, cert):
     l1_x = norm(xm, "l1")
     nuclear_alignment = abs(float(np.vdot(xm, y)) - nuc_x * ny) / scale
     l1_alignment = abs(float(np.vdot(xm, z)) - l1_x * nz) / scale
-    scalar_sum = abs(cert.alpha + theta * cert.beta - 1.0)
     normalization = abs(nuc_x + theta * l1_x - 1.0)
     # both Frobenius norms taken of A / 2^e, as in solve, where their
     # squares neither overflow nor underflow; the scaling is exact
-    e = int(np.frexp(np.abs(am).max())[1])
+    e = _scale_exponent(am)
     rest = np.ldexp(y, -e)
     rest += np.ldexp(z, -e)
     rest -= np.ldexp(am, -e)
@@ -580,7 +571,6 @@ def check_optimality(a, theta, x, cert):
     return OptimalityReport(balance=balance,
                             nuclear_alignment=nuclear_alignment,
                             l1_alignment=l1_alignment,
-                            scalar_sum=scalar_sum,
                             normalization=normalization,
                             decomposition=decomposition,
                             gap=gap)

@@ -47,6 +47,19 @@ class TestThetaA:
 
     def test_tied_singular_values(self):
         assert theta_A(np.eye(2)) == 0.0
+        assert theta_A(np.eye(3)) == 0.0
+
+    @pytest.mark.parametrize("shape", [(1, 7), (7, 1), (6, 6), (30, 20),
+                                       (20, 30)])
+    def test_matches_svd_at_any_scale(self, shape):
+        # singular values from the Gram matrix of a / 2^e: a Gram matrix of
+        # a itself would overflow at 1e300 and underflow at 1e-300
+        a = np.random.default_rng(sum(shape)).random(shape)
+        s = np.linalg.svd(a, compute_uv=False)
+        s2 = s[1] if s.size > 1 else 0.0
+        want = (s[0] - s2) / ((3 * s[0] - s2) * math.sqrt(a.size))
+        for scale in (1.0, 1e300, 1e-300, 2.0 ** 1000, 2.0 ** -1000):
+            assert theta_A(a * scale) == pytest.approx(want, rel=1e-12)
 
 
 class TestThetaB:

@@ -2,15 +2,16 @@
 
 import json
 import re
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 import pytest
 
 from laros.cli import main
 from laros.generate import plant_biclique, two_block_matrix
-from laros.mmio import parse_matrix, write_matrix
-from laros.solver import SolverConfig
+from laros.linalg import norm, theta_norm
+from laros.mmio import parse_matrix, read_certificate, write_matrix
+from laros.solver import DualCertificate, SolverConfig
 
 
 def run(args):
@@ -270,6 +271,39 @@ class TestCertifyCommand:
                     "--output", str(out)]) == 0
         assert not load(out)["result"]["passed"]
 
+    def test_file_with_dropped_fields_certifies(self, demo_matrix,
+                                                tmp_path):
+        # certificate files once also stored alpha and beta, the nuclear
+        # and l1 norms of the scaled solution, and lambda_star, the
+        # reciprocal of dual_norm; such a file reads and certifies as the
+        # current one does
+        xout, cout = tmp_path / "x.mtx", tmp_path / "cert.json"
+        assert run(["solve", "--input", demo_matrix, "--theta", "0.5",
+                    "--output", str(tmp_path / "s.json"),
+                    "--solution-output", str(xout),
+                    "--certificate-output", str(cout)]) == 0
+        cert = load(cout)
+        assert sorted(cert) == sorted(f.name for f in fields(DualCertificate))
+        x = parse_matrix(xout)
+        x /= theta_norm(x, 0.5)
+        old = tmp_path / "old.json"
+        with open(old, "w", encoding="utf-8") as handle:
+            json.dump({**cert, "alpha": norm(x, "nuclear"),
+                       "beta": norm(x, "l1"),
+                       "lambda_star": 1.0 / cert["dual_norm"]}, handle)
+        back, ref = read_certificate(old, x.shape), read_certificate(cout,
+                                                                     x.shape)
+        for f in fields(DualCertificate):
+            assert np.array_equal(getattr(back, f.name), getattr(ref, f.name))
+        results = []
+        for path in (cout, old):
+            out = tmp_path / f"certify-{path.stem}.json"
+            assert run(["certify", "--input", demo_matrix, "--solution",
+                        str(xout), "--certificate", str(path), "--theta",
+                        "0.5", "--output", str(out)]) == 0
+            results.append(load(out)["result"])
+        assert results[0]["passed"]
+        assert results[1] == results[0]
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "1",
                                        "-1"])
@@ -309,21 +343,21 @@ class TestCertifyChecksFiles:
     def test_missing_key(self, demo_matrix, solved, tmp_path, capsys):
         xout, cout = solved
         cert = load(cout)
-        del cert["alpha"]
+        del cert["dual_norm"]
         cout.write_text(json.dumps(cert))
         assert self._certify(demo_matrix, xout, cout, tmp_path) == 1
         assert capsys.readouterr().err == (
-            f"laros certify: {cout}: certificate field 'alpha' is missing\n")
+            f"laros certify: {cout}: certificate field 'dual_norm' is "
+            "missing\n")
 
-    @pytest.mark.parametrize("key", ["alpha", "z"])
+    @pytest.mark.parametrize("key", ["dual_norm", "z"])
     def test_non_finite_field(self, demo_matrix, solved, tmp_path, capsys,
                               key):
-        # json writes and reads NaN and Infinity; before this check a NaN
-        # alpha passed certify with "scalar_sum": NaN in the record
+        # json writes and reads NaN and Infinity
         xout, cout = solved
         cert = load(cout)
-        if key == "alpha":
-            cert["alpha"] = float("nan")
+        if key == "dual_norm":
+            cert["dual_norm"] = float("nan")
         else:
             cert["z"][2][3] = float("inf")
         cout.write_text(json.dumps(cert))
@@ -374,7 +408,8 @@ class TestCertifyChecksFiles:
     def test_non_utf8_certificate(self, demo_matrix, solved, tmp_path,
                                   capsys):
         xout, cout = solved
-        cout.write_bytes(b'{\n  "alpha": 0.5,\r\n  "beta": "\xe9"\n}\n')
+        cout.write_bytes(b'{\n  "dual_norm": 0.5,\r\n  "spectral_gap": '
+                         b'"\xe9"\n}\n')
         assert self._certify(demo_matrix, xout, cout, tmp_path) == 1
         assert capsys.readouterr().err == (
             f"laros certify: {cout}: certificate is not UTF-8 text: byte "

@@ -205,8 +205,7 @@ class TestCheckOptimality:
         c = 3.0
         a = np.array([[c]])
         cert = DualCertificate(y=np.array([[c / 2]]), z=np.array([[c / 2]]),
-                               alpha=0.5, beta=0.5, dual_norm=c / 2,
-                               lambda_star=2 / c, spectral_gap=c / 2,
+                               dual_norm=c / 2, spectral_gap=c / 2,
                                linf_argmax_count=1)
         report = check_optimality(a, 1.0, np.array([[0.5]]), cert)
         assert report.max_residual <= 1e-12
@@ -217,9 +216,7 @@ class TestCheckOptimality:
         u, s, vt = np.linalg.svd(a)
         x = np.outer(u[:, 0], vt[0])
         s1 = s[0]
-        cert = DualCertificate(y=a, z=np.zeros_like(a), alpha=1.0,
-                               beta=norm(x, "l1"), dual_norm=s1,
-                               lambda_star=1.0 / s1,
+        cert = DualCertificate(y=a, z=np.zeros_like(a), dual_norm=s1,
                                spectral_gap=s1 - s[1],
                                linf_argmax_count=0)
         report = check_optimality(a, 0.0, x, cert)
@@ -229,32 +226,29 @@ class TestCheckOptimality:
         # dual_norm 1 instance: balance breakage shows up one-for-one
         a = np.array([[2.0]])
         cert = DualCertificate(y=np.array([[1.0 + 0.1]]), z=np.array([[0.9]]),
-                               alpha=0.5, beta=0.5, dual_norm=1.1,
-                               lambda_star=1 / 1.1, spectral_gap=1.1,
+                               dual_norm=1.1, spectral_gap=1.1,
                                linf_argmax_count=1)
         report = check_optimality(a, 1.0, np.array([[0.5]]), cert)
         assert report.balance == pytest.approx(0.2 / 1.1, abs=1e-12)
 
     def test_report_only_never_raises(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0]])
-        cert = DualCertificate(y=a * 0.3, z=a * 0.1, alpha=0.9, beta=0.4,
-                               dual_norm=0.5, lambda_star=2.0,
+        cert = DualCertificate(y=a * 0.3, z=a * 0.1, dual_norm=0.5,
                                spectral_gap=0.0, linf_argmax_count=2)
         report = check_optimality(a, 0.7, a, cert)
         assert report.max_residual > 0
 
-    def test_nan_alpha_fails(self):
-        # the singleton hand certificate with alpha NaN: only scalar_sum is
-        # NaN, and Python's max would skip it after the first argument
+    def test_nan_y_fails(self):
+        # the singleton hand certificate with a NaN in Y. Every residual is
+        # computed from a, x, Y and Z, which check_optimality validates, so
+        # the NaN is refused there and never reaches a passing report; a
+        # NaN residual itself fails (test_any_nan_residual_fails)
         c = 3.0
-        cert = DualCertificate(y=np.array([[c / 2]]), z=np.array([[c / 2]]),
-                               alpha=math.nan, beta=0.5, dual_norm=c / 2,
-                               lambda_star=2 / c)
-        report = check_optimality(np.array([[c]]), 1.0, np.array([[0.5]]),
-                                  cert)
-        assert math.isnan(report.scalar_sum)
-        assert math.isnan(report.max_residual)
-        assert not report.passed(1e-6)
+        cert = DualCertificate(y=np.array([[math.nan]]),
+                               z=np.array([[c / 2]]), dual_norm=c / 2)
+        with pytest.raises(ValueError) as err:
+            check_optimality(np.array([[c]]), 1.0, np.array([[0.5]]), cert)
+        assert str(err.value) == "matrix entries must be finite (no NaN/Inf)"
 
     @pytest.mark.parametrize("field",
                              [f.name for f in fields(OptimalityReport)])
@@ -280,16 +274,14 @@ class TestCheckOptimality:
         big = check_optimality(
             a * s, 0.5, sol.scaled(),
             replace(cert, y=cert.y * s, z=cert.z * s,
-                    dual_norm=cert.dual_norm * s,
-                    lambda_star=cert.lambda_star / s))
+                    dual_norm=cert.dual_norm * s))
         for f in fields(OptimalityReport):
             assert getattr(big, f.name) == pytest.approx(
                 getattr(base, f.name), rel=0, abs=1e-12), f.name
 
     def test_shape_mismatch_rejected(self):
         b = np.random.default_rng(9).random((2, 3))
-        cert = DualCertificate(y=b / 2, z=b / 2, alpha=0.5, beta=0.5,
-                               dual_norm=1.0, lambda_star=1.0)
+        cert = DualCertificate(y=b / 2, z=b / 2, dual_norm=1.0)
         # np.vdot flattens, so a transposed candidate used to be scored
         with pytest.raises(ValueError) as err:
             check_optimality(b, 0.5, b.T, cert)
@@ -312,7 +304,7 @@ class TestRecoverDual:
         cert = recover_dual(a, 1.0, sol.state)
         assert cert.y[0, 0] == pytest.approx(1.5, abs=1e-8)
         assert cert.z[0, 0] == pytest.approx(1.5, abs=1e-8)
-        assert cert.alpha + cert.beta == pytest.approx(1.0, abs=1e-12)
+        assert cert.dual_norm == pytest.approx(1.5, abs=1e-8)
 
     def test_theta_zero_z_vanishes(self):
         a = np.random.default_rng(6).random((4, 4))
@@ -639,10 +631,8 @@ class TestInputScale:
         assert np.array_equal(np.ldexp(cert.y, 700), ref.y)
         assert np.array_equal(np.ldexp(cert.z, 700), ref.z)
         assert cert.dual_norm == np.ldexp(ref.dual_norm, -700)
-        assert cert.lambda_star == np.ldexp(ref.lambda_star, 700)
         assert cert.spectral_gap == np.ldexp(ref.spectral_gap, -700)
-        assert (cert.alpha, cert.beta, cert.linf_argmax_count) == (
-            ref.alpha, ref.beta, ref.linf_argmax_count)
+        assert cert.linf_argmax_count == ref.linf_argmax_count
 
 
 class TestSplittingReference:
