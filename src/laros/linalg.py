@@ -33,14 +33,19 @@ def norm(a, kind):
     l1 and linf are entrywise (applied to the vectorized matrix). spectral
     is `_gram_singular_values` of a / 2^e (`_scale_exponent`), scaled back
     by 2^e: the scaling is exact, and the Gram matrix neither overflows nor
-    underflows for any finite scale of a.
+    underflows for any finite scale of a. A norm beyond the float range
+    reads inf.
     """
     m = as_matrix(a)
     if kind == "nuclear":
         return float(np.sum(_support_svd(m, compute_uv=False)))
     if kind == "spectral":
         e = _scale_exponent(m)
-        return math.ldexp(float(_gram_singular_values(np.ldexp(m, -e))[0]), e)
+        s = float(_gram_singular_values(np.ldexp(m, -e))[0])
+        try:
+            return math.ldexp(s, e)
+        except OverflowError:
+            return math.inf
     if kind == "l1":
         return float(np.abs(m).sum())
     if kind == "linf":
@@ -48,11 +53,16 @@ def norm(a, kind):
     raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
 
 
-def theta_norm(a, theta):
-    """Composite norm: nuclear norm plus theta times the entrywise l1 norm."""
+def _check_theta(theta):
+    """Raise ValueError unless theta is finite and nonnegative."""
     # written so that NaN fails too
     if not 0.0 <= theta < math.inf:
         raise ValueError(f"theta must be finite and nonnegative, got {theta}")
+
+
+def theta_norm(a, theta):
+    """Composite norm: nuclear norm plus theta times the entrywise l1 norm."""
+    _check_theta(theta)
     m = as_matrix(a)
     return norm(m, "nuclear") + theta * norm(m, "l1")
 

@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (_gram_singular_values, _l1_prox, _nuclear_prox,
-                     _scale_exponent, _support_svd, as_matrix, norm)
+from .linalg import (_check_theta, _gram_singular_values, _l1_prox,
+                     _nuclear_prox, _scale_exponent, _support_svd, as_matrix)
 
 
 # Entries per row block of the solver's passes. A pass touches at most six
@@ -70,13 +70,10 @@ class SolverConfig:
     max_iters: int = 50000
     tol_primal: float = 1e-8      # ||x1 - x2|| / ||x2||
     tol_dual: float = 1e-8        # drift of x2 per iteration, relative
-    tol_gap: float = 1e-8         # certificate residual, relative
+    tol_gap: float = 1e-8         # check_optimality max_residual
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not 0.0 <= self.theta < math.inf:
-            raise ValueError(
-                f"theta must be finite and nonnegative, got {self.theta}")
+        _check_theta(self.theta)
         v = self.max_iters
         if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {v!r}")
@@ -111,8 +108,8 @@ class DualCertificate:
 
 @dataclass
 class SolverState:
-    """Stopping residuals of a solve and the dual certificate built at its
-    last check (the final iterate)."""
+    """Stopping residuals of a solve, cert_residual the max_residual of its
+    last check, and the dual certificate built there (the final iterate)."""
 
     theta: float
     iterations: int
@@ -124,7 +121,8 @@ class SolverState:
     # one dict per stopping test, in order: iteration, primal_residual,
     # dual_residual and step, ||z+ - z|| in the units of a, which relaxed
     # Douglas-Rachford keeps nonincreasing; where the test checked the
-    # certificate, also cert_residual and weak_duality_slack
+    # certificate, also cert_residual (the check's max_residual) and
+    # weak_duality_slack (dual - 1/objective in the units of a)
     history: list
 
 
@@ -183,7 +181,7 @@ class Solution:
     support_rows: np.ndarray
     support_cols: np.ndarray
     objective: float          # ||X||_theta at the optimum
-    gap: float                # certified relative duality gap
+    gap: float                # gap of the check_optimality report
     iterations: int
     converged: bool
     non_unique: bool
@@ -234,12 +232,7 @@ class _Check(NamedTuple):
     z: np.ndarray
     sy: np.ndarray            # singular values of y, nonincreasing
     dual: float               # max{||Y||, ||Z||_inf/theta}
-    residual: float           # max(balance, alignment), relative
-
-    @property
-    def gap(self):
-        """Relative weak-duality gap (dual - 1/lam) * lam, clipped at 0."""
-        return max(0.0, self.dual - 1.0 / self.lam) * self.lam
+    report: OptimalityReport  # of x_rep / lam, the scaled candidate
 
     @property
     def spectral_gap(self):
@@ -249,22 +242,22 @@ class _Check(NamedTuple):
 
 
 def _check(a, theta, x2, g2):
-    """Certificate A = Y + Z at the current iterate and its residual.
+    """Certificate A = Y + Z at the current iterate and its report.
 
     x2 = prox_g(w) is the soft threshold of w + mu A, so <A, x2> = 1 up to
     rounding (or more, where mu = 0; solve raises instead of checking where
     the root find stopped short, at <A, x2> <= 0), and g2 =
     rho*(w + mu A - x2) is its l1 multiplier, an exact subgradient of
     theta*||.||_1 at x2. So Z = g2/objective, formed in the memory of g2,
-    satisfies its norm bound
-    and alignment exactly; all convergence error lands in Y. The SVD of the
-    candidate, with vectors and taken on its support, also serves the
-    solution's rank-one parts.
+    satisfies its norm bound and alignment exactly; all convergence error
+    lands in Y. The SVD of the candidate, with vectors and taken on its
+    support, also serves the solution's rank-one parts. The report is the
+    one `check_optimality` makes of the solution and certificate.
     """
     x_rep = x2 / float(np.vdot(a, x2))
     fx = _support_svd(x_rep)
-    nuc_rep = float(np.sum(fx[1]))
-    lam = nuc_rep + theta * float(np.abs(x_rep).sum())  # ||x_rep||_theta
+    nuc = float(np.sum(fx[1]))
+    lam = nuc + theta * float(np.abs(x_rep).sum())  # ||x_rep||_theta
     z = np.divide(g2, lam, out=g2)
     y = a - z
 
@@ -273,15 +266,11 @@ def _check(a, theta, x2, g2):
     # sigma_1 - sigma_2 reads it closely. Y is of the scale of a / 2^e,
     # whose entries lie in (-1, 1), so its Gram matrix cannot overflow.
     sy = _gram_singular_values(y)
-    ny = float(sy[0])
-    nz = float(np.abs(z).max())
-    d_z = nz / theta if theta > 0 else ny
-    scale = max(ny, d_z, 1.0 / lam)
+    ny, nz = float(sy[0]), float(np.abs(z).max())
     xs = x_rep / lam
-    balance = abs(ny - nz / theta) / scale if theta > 0 else nz / scale
-    align = abs(float(np.vdot(xs, y)) - nuc_rep / lam * ny) / scale
-    return _Check(x_rep, fx, lam, y, z, sy, max(ny, d_z),
-                  max(balance, align))
+    return _Check(x_rep, fx, lam, y, z, sy, _dual_value(ny, nz, theta),
+                  _report(theta, xs, nuc / lam, float(np.abs(xs).sum()), a,
+                          y, z, ny, nz))
 
 
 def _dual_certificate(chk, e):
@@ -397,10 +386,11 @@ def solve(a, config):
     x2 = prox_g(w) by a soft threshold whose halfspace multiplier is found
     by a one-dimensional root find (_GProx), and z += _RELAX (x2 - x1).
     Stops at the first stopping test (iterations 8, 16 and 24, every 25th
-    and max_iters) where ||x1 - x2||, the drift of x2, the certificate
-    residual and the certified gap all fall below the configured
-    tolerances. On non-convergence the final iterate is returned with
-    converged=False. Either way the dual certificate is the one checked at
+    and max_iters) where ||x1 - x2|| and the drift of x2 fall below
+    tol_primal and tol_dual and the `check_optimality` report of the
+    iterate passes at tol_gap; the solution's gap and state.cert_residual
+    are its gap and max_residual. On non-convergence the final iterate is
+    returned with converged=False. Either way the dual certificate is the one checked at
     the final iterate. Every stopping test is recorded in state.history.
 
     The problem is homogeneous in a: the splitting runs on a / 2^e, with
@@ -489,27 +479,27 @@ def solve(a, config):
         g2 -= x2
         chk = _check(a, theta, x2, np.multiply(g2, rho, out=g2))
         # dual - 1/lam in the units of am: the dual scales by 2^e
-        entry.update(cert_residual=chk.residual,
+        entry.update(cert_residual=chk.report.max_residual,
                      weak_duality_slack=math.ldexp(chk.dual - 1.0 / chk.lam,
                                                    e))
-        if can_stop and max(chk.residual, chk.gap) <= config.tol_gap:
+        if can_stop and chk.report.passed(config.tol_gap):
             converged = True
             break
 
     cert = _dual_certificate(chk, e)
-    lam = chk.lam
+    lam, report = chk.lam, chk.report
     parts = _rank_one_parts(chk.x_rep, chk.fx)
     unique_spectral = chk.spectral_gap > 1e-8 * max(float(chk.sy[0]), 1e-300)
     unique_linf = theta > 0 and cert.linf_argmax_count == 1
     state = SolverState(theta=theta, iterations=k,
                         converged=converged, primal_residual=r_rel,
-                        dual_residual=s_rel, cert_residual=chk.residual,
+                        dual_residual=s_rel, cert_residual=report.max_residual,
                         certificate=cert, history=history)
     return Solution(x=np.ldexp(chk.x_rep, -e, out=chk.x_rep),
                     sigma=math.ldexp(parts.sigma, -e), u=parts.u, v=parts.v,
                     support_rows=parts.rows, support_cols=parts.cols,
-                    objective=math.ldexp(lam, -e), gap=chk.gap, iterations=k,
-                    converged=converged,
+                    objective=math.ldexp(lam, -e), gap=report.gap,
+                    iterations=k, converged=converged,
                     non_unique=not (unique_spectral or unique_linf),
                     state=state)
 
@@ -530,6 +520,30 @@ def recover_dual(a, theta, state):
     return state.certificate
 
 
+def _dual_value(ny, nz, theta):
+    """max{||Y||, ||Z||_inf/theta} from ny and nz; ||Y|| at theta = 0."""
+    return max(ny, nz / theta) if theta > 0 else ny
+
+
+def _report(theta, x, nuc_x, l1_x, a, y, z, ny, nz):
+    """The OptimalityReport of a theta-norm-1 candidate `x`, with its
+    nuclear and l1 norms, for the certificate A = Y + Z: `a`, `y` and `z`
+    under one exact scaling 2^e, with ny = ||Y|| and nz = ||Z||_inf at that
+    scale. Every residual is relative, so it reads as in the units of A.
+    """
+    dual = _dual_value(ny, nz, theta)
+    tiny = float(np.finfo(float).tiny)  # for an all-zero certificate
+    scale = max(dual, tiny)
+    return OptimalityReport(
+        balance=(abs(ny - nz / theta) if theta > 0 else nz) / scale,
+        nuclear_alignment=abs(float(np.vdot(x, y)) - nuc_x * ny) / scale,
+        l1_alignment=abs(float(np.vdot(x, z)) - l1_x * nz) / scale,
+        normalization=abs(nuc_x + theta * l1_x - 1.0),
+        decomposition=float(np.linalg.norm(y + z - a)) / max(
+            float(np.linalg.norm(a)), tiny),
+        gap=max(0.0, dual - float(np.vdot(a, x))) / scale)
+
+
 def check_optimality(a, theta, x, cert):
     """Residual report for a scaled candidate `x` (theta-norm 1) and its
     certificate. Report-only: never raises on violated conditions.
@@ -537,10 +551,14 @@ def check_optimality(a, theta, x, cert):
     Conditions, read from a, x, cert.y and cert.z alone: (balance) the
     certificate's two norms agree; (alignment) x lies in the scaled
     subdifferentials of ||Y|| and ||Z||_inf; (normalization)
-    ||x||_theta = 1; (decomposition) Y + Z = A; (gap) weak duality. At
+    ||x||_theta = 1; (decomposition) Y + Z = A; (gap) weak duality,
+    max{||Y||, ||Z||_inf/theta} - <A, x> relative to that dual value. At
     theta = 0 the balance residual degenerates to ||Z||_inf, which must
-    vanish. Raises ValueError when x, cert.y or cert.z is not of a's shape.
+    vanish. `solve` stops on this report. Raises ValueError on a theta
+    that is negative or not finite, or an x, cert.y or cert.z not of a's
+    shape.
     """
+    _check_theta(theta)
     am = as_matrix(a)
     xm = as_matrix(x)
     y, z = as_matrix(cert.y), as_matrix(cert.z)
@@ -548,30 +566,11 @@ def check_optimality(a, theta, x, cert):
         if value.shape != am.shape:
             raise ValueError(f"{name} has shape {value.shape}, expected "
                              f"{am.shape} (the shape of a)")
-    ny = norm(y, "spectral")
-    nz = norm(z, "linf")
-    d_z = nz / theta if theta > 0 else ny
-    tiny = np.finfo(float).tiny   # for an all-zero certificate
-    scale = max(ny, d_z, tiny)
-    balance = abs(ny - nz / theta) / scale if theta > 0 else nz / scale
-    nuc_x = norm(xm, "nuclear")
-    l1_x = norm(xm, "l1")
-    nuclear_alignment = abs(float(np.vdot(xm, y)) - nuc_x * ny) / scale
-    l1_alignment = abs(float(np.vdot(xm, z)) - l1_x * nz) / scale
-    normalization = abs(nuc_x + theta * l1_x - 1.0)
-    # both Frobenius norms taken of A / 2^e, as in solve, where their
-    # squares neither overflow nor underflow; the scaling is exact
-    e = _scale_exponent(am)
-    rest = np.ldexp(y, -e)
-    rest += np.ldexp(z, -e)
-    rest -= np.ldexp(am, -e)
-    decomposition = float(np.linalg.norm(rest)) / max(
-        float(np.linalg.norm(np.ldexp(am, -e))), tiny)
-    gap = max(0.0, max(ny, d_z) - float(np.vdot(am, xm))) / scale
-    return OptimalityReport(balance=balance,
-                            nuclear_alignment=nuclear_alignment,
-                            l1_alignment=l1_alignment,
-                            normalization=normalization,
-                            decomposition=decomposition,
-                            gap=gap)
-
+    # a, Y and Z at one exact scale, with entries in (-1, 1): the Gram
+    # matrix of Y and the squares of ||A||_F cannot overflow
+    e = max(map(_scale_exponent, (am, y, z)))
+    am, y, z = (np.ldexp(m, -e) for m in (am, y, z))
+    nuc_x = float(np.sum(_support_svd(xm, compute_uv=False)))
+    return _report(theta, xm, nuc_x, float(np.abs(xm).sum()), am, y, z,
+                   float(_gram_singular_values(y)[0]),
+                   float(np.abs(z).max()))

@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line driver."""
 
 import json
+import math
 import re
 from dataclasses import asdict, fields
 
@@ -11,7 +12,7 @@ from laros.cli import main
 from laros.generate import plant_biclique, two_block_matrix
 from laros.linalg import norm, theta_norm
 from laros.mmio import parse_matrix, read_certificate, write_matrix
-from laros.solver import DualCertificate, SolverConfig
+from laros.solver import DualCertificate, OptimalityReport, SolverConfig
 
 
 def run(args):
@@ -304,6 +305,28 @@ class TestCertifyCommand:
             results.append(load(out)["result"])
         assert results[0]["passed"]
         assert results[1] == results[0]
+
+    def test_huge_certificate_fails(self, demo_matrix, tmp_path):
+        # ||Y|| = 6e308 lies beyond the float range; certify scores a, Y
+        # and Z at one scale, where the Gram matrix of Y cannot overflow,
+        # and reports a finite failure
+        xout, cout = tmp_path / "x.mtx", tmp_path / "cert.json"
+        assert run(["solve", "--input", demo_matrix, "--theta", "0.5",
+                    "--output", str(tmp_path / "s.json"),
+                    "--solution-output", str(xout),
+                    "--certificate-output", str(cout)]) == 0
+        cert = load(cout)
+        cert["y"] = np.full((6, 6), 1e308).tolist()
+        cout.write_text(json.dumps(cert))
+        out = tmp_path / "certify.json"
+        assert run(["certify", "--input", demo_matrix, "--solution",
+                    str(xout), "--certificate", str(cout), "--theta", "0.5",
+                    "--output", str(out)]) == 0
+        result = load(out)["result"]
+        assert not result["passed"]
+        for f in fields(OptimalityReport):
+            assert math.isfinite(result[f.name]), f.name
+        assert math.isfinite(result["max_residual"])
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "1",
                                        "-1"])

@@ -1,5 +1,8 @@
 """Unit and property tests for the dense matrix primitives."""
 
+import math
+from functools import partial
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +12,8 @@ from laros import linalg
 from laros import solver as solver_module
 from laros.generate import PlantedModel, plant_rank_one, two_block_matrix
 from laros.linalg import norm, soft_threshold, svt, theta_norm
-from laros.solver import SolverConfig, solve
+from laros.solver import (DualCertificate, SolverConfig, check_optimality,
+                          solve)
 
 from oracles import svt_value_oracle
 
@@ -57,6 +61,11 @@ class TestNorms:
             assert norm(a, "spectral") == pytest.approx(want, rel=1e-13, abs=0)
             assert norm(np.zeros(shape), "spectral") == 0.0
 
+    def test_spectral_beyond_float_range_is_inf(self):
+        # sigma_1 = 2e308: the Gram matrix of a / 2^e holds it, the scale
+        # back does not
+        assert norm(np.full((2, 2), 1e308), "spectral") == math.inf
+
 
 class TestThetaNorm:
     def test_diagonal(self):
@@ -72,10 +81,18 @@ class TestThetaNorm:
         assert theta_norm(e11, 2.0) == pytest.approx(3.0)
 
     def test_negative_theta_rejected(self):
-        for a in (np.eye(2), np.zeros((2, 2))):
-            for theta in (-0.1, np.nan, np.inf):
-                with pytest.raises(ValueError):
-                    theta_norm(a, theta)
+        # theta_norm, SolverConfig and check_optimality share one check
+        a = np.eye(2)
+        cert = DualCertificate(y=a / 2, z=a / 2, dual_norm=0.5)
+        for theta in (-0.1, -0.5, np.nan, np.inf):
+            for call in (partial(theta_norm, a, theta),
+                         partial(theta_norm, np.zeros((2, 2)), theta),
+                         partial(SolverConfig, theta=theta),
+                         partial(check_optimality, a, theta, a / 4, cert)):
+                with pytest.raises(ValueError) as err:
+                    call()
+                assert str(err.value) == (
+                    f"theta must be finite and nonnegative, got {theta}")
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 5.0))

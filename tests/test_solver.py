@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from laros import linalg
 from laros import solver as solver_module
+from laros.analysis import theta_A
 from laros.generate import (PlantedModel, plant_biclique, plant_rank_one,
                             two_block_matrix)
 from laros.linalg import norm, theta_norm
@@ -727,8 +728,8 @@ class TestExitPathSvds:
 
 
 class TestGapStop:
-    """converged=True needs the certified gap at tol_gap, not only the
-    certificate residual."""
+    """converged=True needs the report's gap at tol_gap, not only its other
+    residuals."""
 
     def test_residual_alone_does_not_stop(self, monkeypatch):
         config = SolverConfig(theta=0.5, max_iters=1500)
@@ -737,13 +738,46 @@ class TestGapStop:
 
         def gapped(*args):
             chk = check(*args)
-            # the residual passes; dual - 1/lam = 1/lam does not
-            return chk._replace(residual=0.0, dual=2.0 / chk.lam)
+            # every residual passes but the gap
+            return chk._replace(report=OptimalityReport(
+                **{f.name: 0.0 for f in fields(OptimalityReport)}
+                | {"gap": 1.0}))
 
         monkeypatch.setattr(solver_module, "_check", gapped)
         sol = solve(two_block_matrix(), config)
         assert not sol.converged and sol.iterations == 1500
-        assert sol.gap == pytest.approx(1.0)
+        assert sol.gap == 1.0 and sol.state.cert_residual == 1.0
+
+
+class TestOneScorer:
+    """solve stops on the report check_optimality computes: a converged
+    solve's gap and cert_residual are, bit for bit, the gap and
+    max_residual of check_optimality on its scaled solution and
+    certificate."""
+
+    def test_solve_reports_check_optimality(self):
+        # the demo, the c05 corpus (the first 20 matrices of rng 50 at
+        # 0.9 theta_A) and 60 x 60 bicliques, seeds 0-19, as the CLI
+        # solves them at --max-iters 2000
+        rng = np.random.default_rng(50)
+        c05 = [rng.random((12, 10)) for _ in range(20)]
+        cases = ([(two_block_matrix(), SolverConfig(theta=0.5))]
+                 + [(a, SolverConfig(theta=0.9 * theta_A(a))) for a in c05]
+                 + [(plant_biclique(60, 60, 15, 15, 0.5, seed).a,
+                     SolverConfig(theta=1.0 / 15, max_iters=2000))
+                    for seed in range(20)])
+        converged = 0
+        for a, config in cases:
+            sol = solve(a, config)
+            if not sol.converged:
+                continue
+            converged += 1
+            report = check_optimality(
+                a, config.theta, sol.scaled(),
+                recover_dual(a, config.theta, sol.state))
+            assert report.gap == sol.gap
+            assert report.max_residual == sol.state.cert_residual
+        assert converged >= 30
 
 
 def blocked_prox(prox, w):
