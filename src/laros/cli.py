@@ -37,7 +37,13 @@ def _vector(v):
 
 
 def _emit(record, output):
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(record, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    except ValueError as exc:
+        # NaN and inf have no JSON form
+        raise ValueError(f"the record holds a non-finite number: {exc}") \
+            from None
     if output:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -92,6 +98,7 @@ def _cmd_solve(args):
         "dual_gap": sol.gap,
         "iterations": sol.iterations,
         "converged": sol.converged,
+        "stop_reason": sol.stop_reason,
         "non_unique": sol.non_unique,
     }
     # a solve without a certificate fails before any file is written
@@ -246,6 +253,7 @@ def _cmd_biclique(args):
             and list(sol.support_cols) == list(inst.truth.cols)),
         "iterations": sol.iterations,
         "converged": sol.converged,
+        "stop_reason": sol.stop_reason,
         "dual_gap": sol.gap,
     }
     if args.matrix_output:

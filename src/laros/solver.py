@@ -54,6 +54,35 @@ _PENALTY = 1.5
 # The support of a solution keeps the rows and columns whose largest entry
 # magnitude exceeds _SUPPORT_TOL ||X||_inf.
 _SUPPORT_TOL = 1e-6
+# The interior-point polish (_polish) of a dual-degenerate solve, whose
+# residuals decay as 1/k. It runs once, at the stopping test of iteration
+# _POLISH_AT (it and _POLISH_AT // 2 are multiples of _CHECK_EVERY), on a
+# solve with theta > 0 and at most _POLISH_MAX_ENTRIES entries that has not
+# stopped there, and whose primal residual there is at least _POLISH_PLATEAU
+# times that at _POLISH_AT // 2 (1/k decay reads 0.5). On c04's 100
+# matrices (15 x 15, rng 40, theta 1.5, cap 15000) it fires on the 21 that
+# reach the cap and on one that certifies by splitting at 12475 (#69); every
+# other certifier stops by 5375. At 800 it would also fire on four more
+# certifiers (#3, 36, 79, 98), and at 1013 or before on #3, which the
+# history tests pin as capped at 1013.
+_POLISH_AT = 1600
+_POLISH_PLATEAU = 0.2
+# The polish solves a dense (mn + 1)^2 Schur complement twice per step.
+# One polish of a random uniform matrix at theta 1.5 (one BLAS thread,
+# 2-core Xeon) costs 26 ms at 10 x 10, 73 ms at 15 x 15, 0.27 s at
+# 20 x 20, 1.2 s at 30 x 30 and 2.1 s at 30 x 40, against 1600 splitting
+# iterations of 0.08 s at 15 x 15 and 0.2 s at 20 x 20: up to 400 entries
+# it costs about what the splitting has spent by _POLISH_AT, and its
+# Schur complement is 1.3 MB.
+_POLISH_MAX_ENTRIES = 400
+# The polish stops once its report passes at _POLISH_MARGIN tol_gap, and
+# after _POLISH_STEPS steps at most. On the 21 capped c04 solves it passed
+# 1e-9 after 17-24 steps; its precision floor lies near 1e-11, where the
+# step lengths collapse.
+_POLISH_MARGIN = 0.1
+_POLISH_STEPS = 50
+# the report's value for a residual beyond the float range
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 class ConvergenceError(RuntimeError):
@@ -184,6 +213,10 @@ class Solution:
     gap: float                # gap of the check_optimality report
     iterations: int
     converged: bool
+    # "converged": the splitting certified at a stopping test; "polished":
+    # the interior-point polish did, at the stopping test of `iterations`;
+    # "max_iters": neither, by max_iters
+    stop_reason: str
     non_unique: bool
     state: SolverState
 
@@ -254,13 +287,23 @@ def _check(a, theta, x2, g2):
     support, also serves the solution's rank-one parts. The report is the
     one `check_optimality` makes of the solution and certificate.
     """
-    x_rep = x2 / float(np.vdot(a, x2))
-    fx = _support_svd(x_rep)
-    nuc = float(np.sum(fx[1]))
-    lam = nuc + theta * float(np.abs(x_rep).sum())  # ||x_rep||_theta
+    x_rep, fx, lam = _normalized(a, theta, x2)
     z = np.divide(g2, lam, out=g2)
-    y = a - z
+    return _score(a, theta, x_rep, fx, lam, a - z, z)
 
+
+def _normalized(a, theta, x):
+    """x scaled to <A, x_rep> = 1, the _support_svd of x_rep and
+    ||x_rep||_theta."""
+    x_rep = x / float(np.vdot(a, x))
+    fx = _support_svd(x_rep)
+    return x_rep, fx, float(np.sum(fx[1])) + theta * float(np.abs(x_rep).sum())
+
+
+def _score(a, theta, x_rep, fx, lam, y, z):
+    """The _Check of the candidate x_rep (with its _support_svd fx and
+    theta-norm lam) and the certificate (y, z), on a / 2^e as `solve`
+    scales it; y and z become the check's."""
     # only sigma_1 and sigma_2 are read: sigma_2 to a few ulps of sigma_1
     # near a tie, the one place where the uniqueness test on the gap
     # sigma_1 - sigma_2 reads it closely. Y is of the scale of a / 2^e,
@@ -269,8 +312,9 @@ def _check(a, theta, x2, g2):
     ny, nz = float(sy[0]), float(np.abs(z).max())
     xs = x_rep / lam
     return _Check(x_rep, fx, lam, y, z, sy, _dual_value(ny, nz, theta),
-                  _report(theta, xs, nuc / lam, float(np.abs(xs).sum()), a,
-                          y, z, ny, nz))
+                  _report(theta, xs, float(np.sum(fx[1])) / lam,
+                          float(np.abs(xs).sum()), a, y, z, ny, nz,
+                          float(np.linalg.norm(a)), 0))
 
 
 def _dual_certificate(chk, e):
@@ -286,6 +330,162 @@ def _dual_certificate(chk, e):
         dual_norm=math.ldexp(chk.dual, e),
         spectral_gap=math.ldexp(chk.spectral_gap, e),
         linf_argmax_count=ties)
+
+
+def _lmi(d, off):
+    """[[d I, off], [off^T, d I]]."""
+    m, n = off.shape
+    s = np.zeros((m + n, m + n))
+    s[:m, m:] = off
+    s[m:, :m] = off.T
+    s.flat[::m + n + 1] = d
+    return s
+
+
+def _psd_step(l_inv, dx):
+    """The largest alpha (inf if none bounds it) with X + alpha dX positive
+    semidefinite, from the inverse l_inv of X's Cholesky factor."""
+    low = float(np.linalg.eigvalsh(l_inv @ dx @ l_inv.T)[0])
+    return -1.0 / low if low < 0.0 else math.inf
+
+
+def _ratio_step(v, dv):
+    """The largest alpha (inf if none bounds it) with v + alpha dv >= 0."""
+    neg = dv < 0.0
+    return float(np.min(v[neg] / -dv[neg])) if neg.any() else math.inf
+
+
+def _hkm_schur(w, g, dp, dm, theta):
+    """The Schur complement of the HKM step in (d, Y), row-major Y: entry
+    (i, j) is <A_i, W A_j S^-1> over the coefficients A_i of the LMI, plus
+    the bounds' b_i^T diag(D) b_j, with g = S^-1 and the ratios
+    dp = u+ / s+, dm = u- / s-. It is symmetric positive definite."""
+    m, n = dp.shape
+    p = m * n
+    out = np.empty((p + 1, p + 1))
+    zz = out[1:, 1:].reshape(m, n, m, n)
+    w11, w12, w22 = w[:m, :m], w[:m, m:], w[m:, m:]
+    g11, g12, g22 = g[:m, :m], g[:m, m:], g[m:, m:]
+    # entry (ij, kl): G11_ik W22_jl + W11_ik G22_jl + G12_il W12_kj +
+    # W12_il G12_kj, the four products of the blocks of W and S^-1
+    np.einsum("sik,sjl->ijkl", np.stack((g11, w11)), np.stack((w22, g22)),
+              out=zz)
+    zz += np.einsum("sil,skj->ijkl", np.stack((g12, w12)),
+                    np.stack((w12, g12)))
+    diag = np.arange(1, p + 1)
+    out[diag, diag] += (dp + dm).ravel()
+    gw = g @ w
+    row = (theta * (dp - dm) + gw[:m, m:] + gw[m:, :m].T).ravel()
+    out[0, 1:] = row
+    out[1:, 0] = row
+    out[0, 0] = float(np.vdot(g, w)) + theta * theta * float((dp + dm).sum())
+    return out
+
+
+def _polish(a, theta, tol):
+    """Interior-point solve of the dual problem on a, scaled as in `solve`
+    (theta > 0), with the candidate of each step scored as a certificate
+    check.
+
+    The dual is min d subject to S = [[d I, Y], [Y^T, d I]] >= 0 (positive
+    semidefinite) and s+/- = theta d -/+ Z >= 0, Z = A - Y: at the
+    optimum, d = max{||Y||, ||Z||_inf / theta} is the dual norm of A. Y,
+    not Z, is the unknown, so that Y carries no rounding of A - Z: on the
+    15 x 15 uniform rng-3 matrix at theta 1e12, where Y is about 1e-12 of
+    A, that rounding left the balance residual at 4e-5, and 1.9e-10
+    without it. The conic dual is max <A, X> subject to
+    ||X||_theta <= 1, with X = u+ - u- read off the multipliers u+/- of
+    the bounds; with the multiplier W of the LMI,
+    tr W + theta sum(u+ + u-) = 1 and 2 W_12 = u- - u+. The steps follow
+    the HKM direction (Helmberg-Rendl-Vanderbei-Wolkowicz 1996) with
+    Mehrotra's predictor-corrector, from Y = A, d = 2 ||A||_F, W = I / nu
+    and u+/- = 1 / (theta nu), nu = m + n + 2mn: feasible for both
+    problems, and centred up to the off-diagonal of S. The Schur
+    complement of the mn + 1 unknowns (d, Y) is dense and solved by LU
+    (np.linalg.solve; its inverse lost up to two digits).
+
+    Returns (check, steps): the _Check of the best-scoring candidate (None
+    if no step had <A, X> > 0), and the steps taken. Stops where the
+    report passes at _POLISH_MARGIN tol, or after _POLISH_STEPS steps. A
+    factorization that fails raises LinAlgError.
+    """
+    m, n = a.shape
+    nu = m + n + 2 * m * n
+    d, y = 2.0 * float(np.linalg.norm(a)), a.copy()
+    w = np.eye(m + n) / nu
+    up = np.full_like(a, 1.0 / (theta * nu))
+    um = up.copy()
+    best, steps = None, 0
+    for steps in range(1, _POLISH_STEPS + 1):
+        s = _lmi(d, y)
+        sp, sm = theta * d - a + y, theta * d + a - y
+        if not (sp.min() > 0.0 and sm.min() > 0.0):
+            break   # a bound met in rounding: no interior step is left
+        ls_inv = np.linalg.inv(np.linalg.cholesky(s))
+        lw_inv = np.linalg.inv(np.linalg.cholesky(w))
+        g = ls_inv.T @ ls_inv
+        mu = (float(np.vdot(w, s)) + float(np.vdot(up, sp))
+              + float(np.vdot(um, sm))) / nu
+        if not mu > 0.0:
+            break
+        schur = _hkm_schur(w, g, up / sp, um / sm, theta)
+        # the primal residual b - A(W, u), zero up to rounding
+        r0 = float(np.trace(w)) + theta * float((up + um).sum()) - 1.0
+        ry = w[:m, m:] + w[m:, :m].T + up - um
+
+        def direction(cw, cp, cm):
+            """The step (dd, dY, dS, ds+, ds-, dW, du+, du-) whose
+            complementarity rows read dW + H(W dS S^-1) = cw and
+            du + u ds / s = c, for the bounds."""
+            rhs = np.empty(m * n + 1)
+            rhs[0] = r0 + float(np.trace(cw)) + theta * float((cp + cm).sum())
+            rhs[1:] = (ry + cw[:m, m:] + cw[m:, :m].T + cp - cm).ravel()
+            step = np.linalg.solve(schur, rhs)
+            dd, dy = float(step[0]), step[1:].reshape(m, n)
+            ds = _lmi(dd, dy)
+            dsp, dsm = theta * dd + dy, theta * dd - dy
+            t = w @ ds @ g
+            return (dd, dy, ds, dsp, dsm, cw - 0.5 * (t + t.T),
+                    cp - up * dsp / sp, cm - um * dsm / sm)
+
+        def lengths(dw, dup, dum, ds, dsp, dsm):
+            """The largest primal and dual steps that keep the iterate in
+            the cone."""
+            return (min(_psd_step(lw_inv, dw), _ratio_step(up, dup),
+                        _ratio_step(um, dum)),
+                    min(_psd_step(ls_inv, ds), _ratio_step(sp, dsp),
+                        _ratio_step(sm, dsm)))
+
+        # predictor: the affine step, toward mu = 0
+        dd, dy, ds, dsp, dsm, dw, dup, dum = direction(-w, -up, -um)
+        ap, ad = (min(1.0, t) for t in lengths(dw, dup, dum, ds, dsp, dsm))
+        mu_aff = (float(np.vdot(w + ap * dw, s + ad * ds))
+                  + float(np.vdot(up + ap * dup, sp + ad * dsp))
+                  + float(np.vdot(um + ap * dum, sm + ad * dsm))) / nu
+        sigma = min(1.0, max(0.0, mu_aff / mu)) ** 3
+        # corrector: toward sigma mu, with the predictor's second-order term
+        t = dw @ ds @ g
+        dd, dy, ds, dsp, dsm, dw, dup, dum = direction(
+            sigma * mu * g - w - 0.5 * (t + t.T),
+            (sigma * mu - dup * dsp) / sp - up,
+            (sigma * mu - dum * dsm) / sm - um)
+        ap, ad = lengths(dw, dup, dum, ds, dsp, dsm)
+        gamma = 0.9 + 0.09 * min(1.0, ap, ad)
+        ap, ad = min(1.0, gamma * ap), min(1.0, gamma * ad)
+        w = w + ap * dw
+        up, um = up + ap * dup, um + ap * dum
+        d, y = d + ad * dd, y + ad * dy
+
+        x = up - um
+        if float(np.vdot(a, x)) > 0.0:
+            chk = _score(a, theta, *_normalized(a, theta, x), y.copy(),
+                         a - y)
+            if (best is None or chk.report.max_residual
+                    < best.report.max_residual):
+                best = chk
+            if best.report.passed(_POLISH_MARGIN * tol):
+                break
+    return best, steps
 
 
 class _GProx:
@@ -388,10 +588,19 @@ def solve(a, config):
     Stops at the first stopping test (iterations 8, 16 and 24, every 25th
     and max_iters) where ||x1 - x2|| and the drift of x2 fall below
     tol_primal and tol_dual and the `check_optimality` report of the
-    iterate passes at tol_gap; the solution's gap and state.cert_residual
-    are its gap and max_residual. On non-convergence the final iterate is
-    returned with converged=False. Either way the dual certificate is the one checked at
-    the final iterate. Every stopping test is recorded in state.history.
+    iterate passes at tol_gap (stop_reason "converged"); the solution's
+    gap and state.cert_residual are its gap and max_residual.
+
+    On a small problem whose residuals decay as 1/k (a dual-degenerate
+    one), the stopping test at iteration _POLISH_AT (1600) runs an
+    interior-point solve of the dual (_polish) once. If its candidate and
+    certificate pass the same report at tol_gap, the solve stops there
+    with them (stop_reason "polished"); otherwise, or where the polish
+    fails to factor a matrix, the splitting goes on as if it had not run.
+    At max_iters without either, the final iterate is returned with
+    converged=False (stop_reason "max_iters"). In every case the dual
+    certificate is the one checked last, and converged=True means that it
+    passed at tol_gap. Every stopping test is recorded in state.history.
 
     The problem is homogeneous in a: the splitting runs on a / 2^e, with
     ||a / 2^e||_inf in [0.5, 1) (`_scale_exponent`), where ||a||_F^2 and
@@ -419,9 +628,18 @@ def solve(a, config):
     x2, x2_prev = np.zeros_like(a), np.zeros_like(a)
 
     history = []
-    converged = False
+    stop_reason = "max_iters"
+    polishable = theta > 0 and a.size <= _POLISH_MAX_ENTRIES
+    r_half = math.inf    # the primal residual at iteration _POLISH_AT // 2
+
+    def record(entry, chk):
+        # dual - 1/lam in the units of am: the dual scales by 2^e
+        entry.update(cert_residual=chk.report.max_residual,
+                     weak_duality_slack=math.ldexp(chk.dual - 1.0 / chk.lam,
+                                                   e))
+
     # the loop always checks at k == max_iters and stops only right after
-    # a passing check, so the last check is always of the final iterate
+    # a passing check, so the last check is always of the returned iterate
     for k in range(1, config.max_iters + 1):
         left, right = nuclear_prox(z, 1.0 / rho)
         x2, x2_prev = x2_prev, x2
@@ -463,29 +681,42 @@ def solve(a, config):
         entry = {"iteration": k, "primal_residual": r_rel,
                  "dual_residual": s_rel, "step": math.ldexp(_RELAX * r, -e)}
         history.append(entry)
+        if k == _POLISH_AT // 2:
+            r_half = r_rel
         can_stop = r_rel <= config.tol_primal and s_rel <= config.tol_dual
-        if not (can_stop or k == config.max_iters):
-            continue
-        if h <= 0.0:
-            # the root find stopped on the flat piece h = 0 below the first
-            # breakpoint (out of passes, or at a step below one ulp of mu):
-            # at a large theta that breakpoint lies beyond its reach
-            raise ValueError(
-                f"theta={theta} is too large for this matrix: at iteration "
-                f"{k} the halfspace multiplier search ended at <A, X> = {h}")
-        # the l1 multiplier rho (w + mu A - x2) of the loop's own x2
-        g2 = np.multiply(a, prox_g.mu)
-        g2 += w
-        g2 -= x2
-        chk = _check(a, theta, x2, np.multiply(g2, rho, out=g2))
-        # dual - 1/lam in the units of am: the dual scales by 2^e
-        entry.update(cert_residual=chk.report.max_residual,
-                     weak_duality_slack=math.ldexp(chk.dual - 1.0 / chk.lam,
-                                                   e))
-        if can_stop and chk.report.passed(config.tol_gap):
-            converged = True
-            break
+        if can_stop or k == config.max_iters:
+            if h <= 0.0:
+                # the root find stopped on the flat piece h = 0 below the
+                # first breakpoint (out of passes, or at a step below one
+                # ulp of mu): at a large theta that breakpoint lies beyond
+                # its reach
+                raise ValueError(
+                    f"theta={theta} is too large for this matrix: at "
+                    f"iteration {k} the halfspace multiplier search ended "
+                    f"at <A, X> = {h}")
+            # the l1 multiplier rho (w + mu A - x2) of the loop's own x2
+            g2 = np.multiply(a, prox_g.mu)
+            g2 += w
+            g2 -= x2
+            chk = _check(a, theta, x2, np.multiply(g2, rho, out=g2))
+            record(entry, chk)
+            if can_stop and chk.report.passed(config.tol_gap):
+                stop_reason = "converged"
+                break
+        if (k == _POLISH_AT and k < config.max_iters and polishable
+                and r_rel >= _POLISH_PLATEAU * r_half):
+            try:
+                polished, steps = _polish(a, theta, config.tol_gap)
+            except np.linalg.LinAlgError:
+                continue    # a factorization failed: the splitting goes on
+            entry["polish_steps"] = steps
+            if polished is not None:
+                record(entry, polished)
+                if polished.report.passed(config.tol_gap):
+                    chk, stop_reason = polished, "polished"
+                    break
 
+    converged = stop_reason != "max_iters"
     cert = _dual_certificate(chk, e)
     lam, report = chk.lam, chk.report
     parts = _rank_one_parts(chk.x_rep, chk.fx)
@@ -500,6 +731,7 @@ def solve(a, config):
                     support_rows=parts.rows, support_cols=parts.cols,
                     objective=math.ldexp(lam, -e), gap=report.gap,
                     iterations=k, converged=converged,
+                    stop_reason=stop_reason,
                     non_unique=not (unique_spectral or unique_linf),
                     state=state)
 
@@ -525,22 +757,30 @@ def _dual_value(ny, nz, theta):
     return max(ny, nz / theta) if theta > 0 else ny
 
 
-def _report(theta, x, nuc_x, l1_x, a, y, z, ny, nz):
+def _report(theta, x, nuc_x, l1_x, a, y, z, ny, nz, nf, shift):
     """The OptimalityReport of a theta-norm-1 candidate `x`, with its
     nuclear and l1 norms, for the certificate A = Y + Z: `a`, `y` and `z`
     under one exact scaling 2^e, with ny = ||Y|| and nz = ||Z||_inf at that
-    scale. Every residual is relative, so it reads as in the units of A.
+    scale, and nf = ||A||_F at A's own scale 2^(e - shift), shift >= 0,
+    where it cannot underflow as A / 2^e can beside a far larger Y or Z.
+    Every residual is relative, so it reads as in the units of A; a
+    decomposition residual beyond the float range reads the largest
+    double, which fails as inf would but stays a JSON number.
     """
     dual = _dual_value(ny, nz, theta)
     tiny = float(np.finfo(float).tiny)  # for an all-zero certificate
     scale = max(dual, tiny)
+    try:
+        decomposition = min(math.ldexp(float(np.linalg.norm(y + z - a))
+                                       / max(nf, tiny), shift), _FLOAT_MAX)
+    except OverflowError:
+        decomposition = _FLOAT_MAX
     return OptimalityReport(
         balance=(abs(ny - nz / theta) if theta > 0 else nz) / scale,
         nuclear_alignment=abs(float(np.vdot(x, y)) - nuc_x * ny) / scale,
         l1_alignment=abs(float(np.vdot(x, z)) - l1_x * nz) / scale,
         normalization=abs(nuc_x + theta * l1_x - 1.0),
-        decomposition=float(np.linalg.norm(y + z - a)) / max(
-            float(np.linalg.norm(a)), tiny),
+        decomposition=decomposition,
         gap=max(0.0, dual - float(np.vdot(a, x))) / scale)
 
 
@@ -567,10 +807,13 @@ def check_optimality(a, theta, x, cert):
             raise ValueError(f"{name} has shape {value.shape}, expected "
                              f"{am.shape} (the shape of a)")
     # a, Y and Z at one exact scale, with entries in (-1, 1): the Gram
-    # matrix of Y and the squares of ||A||_F cannot overflow
-    e = max(map(_scale_exponent, (am, y, z)))
+    # matrix of Y and the squares of ||A||_F cannot overflow; ||A||_F is
+    # taken at A's own scale, where it cannot underflow either
+    ea = _scale_exponent(am)
+    e = max(ea, _scale_exponent(y), _scale_exponent(z))
+    nf = float(np.linalg.norm(np.ldexp(am, -ea)))
     am, y, z = (np.ldexp(m, -e) for m in (am, y, z))
     nuc_x = float(np.sum(_support_svd(xm, compute_uv=False)))
     return _report(theta, xm, nuc_x, float(np.abs(xm).sum()), am, y, z,
                    float(_gram_singular_values(y)[0]),
-                   float(np.abs(z).max()))
+                   float(np.abs(z).max()), nf, e - ea)

@@ -328,6 +328,63 @@ class TestCertifyCommand:
             assert math.isfinite(result[f.name]), f.name
         assert math.isfinite(result["max_residual"])
 
+    @pytest.mark.parametrize("case", ["demo", "120x120"])
+    def test_huge_certificate_decomposition(self, tmp_path, case):
+        # ||Y + Z - A||_F / ||A||_F with Y = 1e308 in every entry: 6e308 /
+        # ||A||_F = 1.518e308 for the demo, taken with ||A||_F at A's own
+        # scale (at the scale of Y it underflowed, and read 1.500e308);
+        # 120e308 / 60 = 2e308 for a 120 x 120 matrix of 0.5, beyond the
+        # float range, where it reads the largest double. Either way the
+        # record is strict JSON.
+        a = two_block_matrix() if case == "demo" else np.full((120, 120),
+                                                               0.5)
+        paths = {name: tmp_path / f"{name}.mtx" for name in ("a", "x")}
+        write_matrix(paths["a"], a)
+        write_matrix(paths["x"], a)
+        cout = tmp_path / "cert.json"
+        cout.write_text(json.dumps({"y": np.full(a.shape, 1e308).tolist(),
+                                    "z": np.zeros(a.shape).tolist(),
+                                    "dual_norm": 1.0}))
+        out = tmp_path / "certify.json"
+        assert run(["certify", "--input", str(paths["a"]), "--solution",
+                    str(paths["x"]), "--certificate", str(cout), "--theta",
+                    "0.5", "--output", str(out)]) == 0
+
+        def not_json(constant):
+            raise AssertionError(f"record holds {constant}")
+
+        result = json.loads(out.read_text(),
+                            parse_constant=not_json)["result"]
+        assert not result["passed"]
+        want = (6.0 * (1e308 / np.linalg.norm(a)) if case == "demo"
+                else np.finfo(float).max)
+        assert result["decomposition"] == pytest.approx(want, rel=1e-12)
+        assert result["max_residual"] == result["decomposition"]
+
+    def test_non_finite_record_refused(self, tmp_path, capsys,
+                                       monkeypatch):
+        # a record is strict JSON: a NaN or inf that reached one fails
+        # the run with a named error, and no file is written
+        from laros import cli
+        from laros.solver import OptimalityReport as Report
+
+        def nan_report(*args):
+            return Report(*([math.nan] * len(fields(Report))))
+
+        monkeypatch.setattr(cli, "check_optimality", nan_report)
+        demo = tmp_path / "demo.mtx"
+        write_matrix(demo, two_block_matrix())
+        out = tmp_path / "certify.json"
+        cert = tmp_path / "cert.json"
+        zeros = np.zeros((6, 6)).tolist()
+        cert.write_text(json.dumps({"y": zeros, "z": zeros,
+                                    "dual_norm": 1.0}))
+        assert run(["certify", "--input", str(demo), "--solution",
+                    str(demo), "--certificate", str(cert), "--theta", "0.5",
+                    "--output", str(out)]) == 1
+        assert "non-finite number" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "1",
                                        "-1"])
     def test_residual_tol_rejected_before_reading(self, tmp_path, capsys,

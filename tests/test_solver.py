@@ -780,6 +780,123 @@ class TestOneScorer:
         assert converged >= 30
 
 
+def c04_matrix(index):
+    """Matrix `index` of the c04 nonnegativity corpus (rng 40)."""
+    rng = np.random.default_rng(40)
+    return [rng.random((15, 15)) for _ in range(index + 1)][index]
+
+
+class TestPolish:
+    """The interior-point polish of a dual-degenerate plateau: it stops a
+    solve only with a certificate that passes at tol_gap, and otherwise
+    leaves the splitting to run as if it had not run."""
+
+    # c04 #5 reaches the cap of 15000 by splitting; 2000 is past the
+    # polish at 1600 and costs a seventh of the full cap
+    CONFIG = SolverConfig(theta=1.5, max_iters=2000)
+
+    def test_capped_c04_solve_polished(self):
+        a = c04_matrix(5)
+        sol = solve(a, SolverConfig(theta=1.5, max_iters=15000))
+        assert sol.converged and sol.stop_reason == "polished"
+        assert sol.iterations == solver_module._POLISH_AT
+        history = sol.state.history
+        # the polish updates its stopping test's entry and appends none
+        want = [8, 16, 24] + list(range(25, sol.iterations + 1, 25))
+        assert [h["iteration"] for h in history] == want
+        last = history[-1]
+        assert 0 < last["polish_steps"] <= solver_module._POLISH_STEPS
+        assert last["cert_residual"] == sol.state.cert_residual
+        assert all("polish_steps" not in h for h in history[:-1])
+        report = check_optimality(a, 1.5, sol.scaled(),
+                                  recover_dual(a, 1.5, sol.state))
+        assert report.max_residual == sol.state.cert_residual <= 1e-8
+        assert report.gap == sol.gap
+        assert sol.x.min() >= -1e-9
+
+    def test_splitting_certifier_unpolished(self):
+        # c04 #0 certifies by splitting at 100 iterations, before the
+        # polish could run
+        sol = solve(c04_matrix(0), SolverConfig(theta=1.5, max_iters=15000))
+        assert sol.stop_reason == "converged" and sol.iterations == 100
+        assert all("polish_steps" not in h for h in sol.state.history)
+
+    @pytest.mark.parametrize("failure", ["report fails", "LinAlgError"])
+    def test_failed_polish_leaves_splitting(self, monkeypatch, failure):
+        a = c04_matrix(5)
+        # the result without the polish: the parent's, which never polished
+        monkeypatch.setattr(solver_module, "_POLISH_MAX_ENTRIES", 0)
+        want = solve(a, self.CONFIG)
+        monkeypatch.undo()
+        polish = solver_module._polish
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            if failure == "LinAlgError":
+                raise np.linalg.LinAlgError("Matrix is not positive definite")
+            chk, steps = polish(*args)
+            assert chk.report.passed(1e-8)  # the real polish certifies
+            return chk._replace(report=replace(chk.report, gap=1.0)), steps
+
+        monkeypatch.setattr(solver_module, "_polish", failing)
+        sol = solve(a, self.CONFIG)
+        assert len(calls) == 1
+        assert not sol.converged and sol.stop_reason == "max_iters"
+        assert sol.iterations == self.CONFIG.max_iters
+        assert_same_solve(sol, want)
+        assert sol.non_unique == want.non_unique
+        np.testing.assert_array_equal(sol.u, want.u)
+        np.testing.assert_array_equal(sol.support_cols, want.support_cols)
+        polished = {h["iteration"]: h for h in sol.state.history}[
+            solver_module._POLISH_AT]
+        if failure == "LinAlgError":
+            assert "polish_steps" not in polished
+        else:
+            assert polished["cert_residual"] == 1.0
+        for h, ref in zip(sol.state.history, want.state.history):
+            assert h == ref or h is polished
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 2**32 - 1),
+           st.floats(0.05, 3.0))
+    def test_polished_solves_certify(self, m, n, seed, theta):
+        # the polish moved to the first stopping test it can follow (16,
+        # after 8) and fired wherever the solve has not stopped there, so
+        # that it runs on most draws; it may decline, but a solve it stops
+        # passes check_optimality at tol_gap
+        if m * n > solver_module._POLISH_MAX_ENTRIES:
+            m = solver_module._POLISH_MAX_ENTRIES // n
+        a = np.random.default_rng(seed).standard_normal((m, n))
+        config = SolverConfig(theta=theta, max_iters=100)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver_module, "_POLISH_AT", 16)
+            patch.setattr(solver_module, "_POLISH_PLATEAU", 0.0)
+            sol = solve(a, config)
+        if sol.stop_reason == "polished":
+            assert sol.converged and sol.iterations == 16
+            report = check_optimality(a, theta, sol.scaled(),
+                                      recover_dual(a, theta, sol.state))
+            assert report.max_residual <= config.tol_gap
+        else:
+            assert sol.converged == (sol.stop_reason == "converged")
+
+    @pytest.mark.parametrize("theta", [1e8, 1e10, 1e12])
+    @pytest.mark.parametrize("case", ["demo", "rng3"])
+    def test_large_theta_never_raises(self, case, theta):
+        # the splitting runs to the cap here; the polish certifies or
+        # declines (CHANGES.md has which), and converged still means a
+        # certificate passed
+        a = (two_block_matrix() if case == "demo"
+             else np.random.default_rng(3).random((15, 15)))
+        config = SolverConfig(theta=theta, max_iters=2000)
+        sol = solve(a, config)
+        report = check_optimality(a, theta, sol.scaled(),
+                                  sol.state.certificate)
+        assert sol.converged == report.passed(config.tol_gap)
+        assert sol.stop_reason in ("converged", "polished", "max_iters")
+
+
 def blocked_prox(prox, w):
     """The solver's prox_g of `w`: h at prox.mu summed over the row blocks
     as the solver's first pass sums it, then the root find, which adds
