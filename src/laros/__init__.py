@@ -13,21 +13,19 @@ from .generate import (PlantedInstance, PlantedModel, plant_biclique,
                        plant_rank_one, sample_noise, two_block_matrix)
 from .linalg import norm, soft_threshold, svt, theta_norm
 from .nmf import NmfResult, greedy_extract, residual_update
-from .solver import (CertificateUnavailableError, ConvergenceError,
-                     DualCertificate, OptimalityReport, RankOneParts,
-                     Solution, SolverConfig, SolverState, check_optimality,
-                     extract_rank_one, recover_dual, solve)
+from .solver import (ConvergenceError, DualCertificate, OptimalityReport,
+                     RankOneParts, Solution, SolverConfig, SolverState,
+                     check_optimality, extract_rank_one, recover_dual, solve)
 
 __all__ = [
-    "BlockSelector", "CertificateUnavailableError", "ConvergenceError",
-    "DualCertificate", "NmfResult", "OptimalityReport",
-    "PlantedCertificateReport", "PlantedInstance", "PlantedModel",
-    "RankOneParts", "RegimeReport", "RowRatioReport", "Solution",
-    "SolverConfig", "SolverState", "build_planted_certificate",
+    "BlockSelector", "ConvergenceError", "DualCertificate", "NmfResult",
+    "OptimalityReport", "PlantedCertificateReport", "PlantedInstance",
+    "PlantedModel", "RankOneParts", "RegimeReport", "RowRatioReport",
+    "Solution", "SolverConfig", "SolverState", "build_planted_certificate",
     "check_optimality", "extract_rank_one", "greedy_extract", "norm",
     "plant_biclique", "plant_rank_one", "recover_dual", "residual_update",
     "row_ratio_check", "row_zero_threshold", "row_zero_thresholds",
-    "sample_noise", "soft_threshold", "solve", "subgaussian_tail_bound",
-    "svt", "theta_A", "theta_B", "theta_norm", "top_block",
-    "two_block_matrix", "validate_planted_regime",
+    "sample_noise", "soft_threshold", "solve", "subgaussian_tail_bound", "svt",
+    "theta_A", "theta_B", "theta_norm", "top_block", "two_block_matrix",
+    "validate_planted_regime",
 ]

@@ -12,6 +12,15 @@ from .linalg import (_gram_singular_values, _scale_exponent, _support_svd,
 LOG7 = math.log(7.0)
 
 
+def _clamp_nonnegative(u, v, message):
+    """u and v with entries clamped at 0, after a ValueError(message) if
+    an entry of either lies below -1e-8, beyond the roundoff of a
+    nonnegative vector."""
+    if u.min() < -1e-8 or v.min() < -1e-8:
+        raise ValueError(message)
+    return np.maximum(u, 0.0), np.maximum(v, 0.0)
+
+
 @dataclass(frozen=True)
 class BlockSelector:
     """Row and column index sets (0-based) naming a submatrix."""
@@ -173,10 +182,7 @@ def row_ratio_check(a, sol, theta, dual_norm):
     sx = _support_svd(as_matrix(sol.x), compute_uv=False)
     if sx.size > 1 and sx[1] > 1e-6 * sx[0]:
         raise ValueError("solution is not numerically rank-one")
-    if u.min() < -1e-8 or v.min() < -1e-8:
-        raise ValueError("solution factors must be nonnegative")
-    u = np.maximum(u, 0.0)
-    v = np.maximum(v, 0.0)
+    u, v = _clamp_nonnegative(u, v, "solution factors must be nonnegative")
     d = float(dual_norm)
 
     tv = theta * v.sum()
@@ -300,10 +306,8 @@ def build_planted_certificate(a, model, sol, theta):
         raise ValueError("solution support exceeds the planted block")
     u1 = np.asarray(sol.u[:bm], dtype=float)
     v1 = np.asarray(sol.v[:bn], dtype=float)
-    if u1.min() < -1e-8 or v1.min() < -1e-8:
-        raise ValueError("solution factors must be nonnegative")
-    u1 = np.maximum(u1, 0.0)
-    v1 = np.maximum(v1, 0.0)
+    u1, v1 = _clamp_nonnegative(u1, v1,
+                                "solution factors must be nonnegative")
 
     lam = sol.objective
     a11 = am[:bm, :bn]

@@ -21,11 +21,10 @@ from .analysis import (BlockSelector, row_zero_thresholds, theta_A,
 from .generate import (NOISE_FAMILIES, PlantedModel, plant_biclique,
                        plant_rank_one, two_block_matrix)
 from .linalg import theta_norm
-from .mmio import (MatrixParseError, parse_matrix, read_certificate,
-                   write_certificate, write_matrix)
+from .mmio import (parse_matrix, read_certificate, write_certificate,
+                   write_matrix)
 from .nmf import greedy_extract
-from .solver import (CertificateUnavailableError, ConvergenceError,
-                     SolverConfig, check_optimality, recover_dual, solve)
+from .solver import ConvergenceError, SolverConfig, check_optimality, solve
 
 
 def _one_based(indices):
@@ -34,6 +33,14 @@ def _one_based(indices):
 
 def _vector(v):
     return [float(x) for x in v]
+
+
+def _solve_fields(sol):
+    """The record fields of a solve that `solve` and `biclique` share."""
+    return {"support_rows": _one_based(sol.support_rows),
+            "support_cols": _one_based(sol.support_cols),
+            "dual_gap": sol.gap, "iterations": sol.iterations,
+            "converged": sol.converged, "stop_reason": sol.stop_reason}
 
 
 def _emit(record, output):
@@ -88,27 +95,23 @@ def _cmd_solve(args):
     a = parse_matrix(args.input)
     config = _solver_config(args, args.theta)
     sol = solve(a, config)
+    # an unconverged solve has no certificate: it fails before any write
+    if args.certificate_output and not sol.converged:
+        raise ValueError("certificate requires a converged solve "
+                         f"(stopped after {sol.iterations} iterations)")
     result = {
+        **_solve_fields(sol),
         "sigma": sol.sigma,
         "u": _vector(sol.u),
         "v": _vector(sol.v),
-        "support_rows": _one_based(sol.support_rows),
-        "support_cols": _one_based(sol.support_cols),
         "objective": sol.objective,
-        "dual_gap": sol.gap,
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-        "stop_reason": sol.stop_reason,
         "non_unique": sol.non_unique,
     }
-    # a solve without a certificate fails before any file is written
-    cert = (recover_dual(a, args.theta, sol.state)
-            if args.certificate_output else None)
     if args.solution_output:
         write_matrix(args.solution_output, sol.x)
         result["solution_path"] = args.solution_output
-    if cert is not None:
-        write_certificate(args.certificate_output, cert)
+    if args.certificate_output:
+        write_certificate(args.certificate_output, sol.state.certificate)
         result["certificate_path"] = args.certificate_output
     return result, {"matrix": args.input}, asdict(config)
 
@@ -239,6 +242,7 @@ def _cmd_biclique(args):
     exact = (list(rows) == list(inst.truth.rows)
              and list(cols) == list(inst.truth.cols))
     result = {
+        **_solve_fields(sol),
         "theta": theta,
         "truth_rows": _one_based(inst.truth.rows),
         "truth_cols": _one_based(inst.truth.cols),
@@ -246,15 +250,9 @@ def _cmd_biclique(args):
         "recovered_cols": _one_based(cols),
         "biclique_complete": complete,
         "recovered": bool(exact and complete),
-        "support_rows": _one_based(sol.support_rows),
-        "support_cols": _one_based(sol.support_cols),
         "support_matches_truth": (
             list(sol.support_rows) == list(inst.truth.rows)
             and list(sol.support_cols) == list(inst.truth.cols)),
-        "iterations": sol.iterations,
-        "converged": sol.converged,
-        "stop_reason": sol.stop_reason,
-        "dual_gap": sol.gap,
     }
     if args.matrix_output:
         result["matrix_path"] = args.matrix_output
@@ -348,8 +346,7 @@ def main(argv=None):
                     "parameters": params, "version": __version__,
                     "duration_seconds": time.perf_counter() - start}
         _emit({"manifest": manifest, "result": result}, args.output)
-    except (ValueError, OSError, ConvergenceError, MatrixParseError,
-            CertificateUnavailableError) as exc:
+    except (ValueError, OSError, ConvergenceError) as exc:
         print(f"laros {args.command}: {exc}", file=sys.stderr)
         return 1
     return 0

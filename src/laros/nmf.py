@@ -7,7 +7,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .analysis import BlockSelector
+from .analysis import BlockSelector, _clamp_nonnegative
 from .linalg import _scale_exponent, as_matrix
 from .solver import ConvergenceError, extract_rank_one, solve
 
@@ -99,11 +99,9 @@ def greedy_extract(a, p, theta, config):
         sigma, u, v = lead.sigma, lead.u, lead.v
         # Perron-Frobenius: the leading pair of a nonnegative submatrix is
         # nonnegative; the SVD sign convention realizes it up to roundoff.
-        if u.min() < -1e-8 or v.min() < -1e-8:
-            raise ValueError(f"round {k + 1}: leading singular pair is not "
-                             "nonnegative (tied singular values?)")
-        u = np.maximum(u, 0.0)
-        v = np.maximum(v, 0.0)
+        u, v = _clamp_nonnegative(
+            u, v, f"round {k + 1}: leading singular pair is not "
+            "nonnegative (tied singular values?)")
         root = np.sqrt(sigma)
         w_full = np.zeros(m)
         w_full[block.rows] = root * u

@@ -89,10 +89,6 @@ class ConvergenceError(RuntimeError):
     """Solver failed to reach the requested tolerances."""
 
 
-class CertificateUnavailableError(RuntimeError):
-    """Dual certificate requested from a non-converged solver state."""
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     theta: float
@@ -212,13 +208,18 @@ class Solution:
     objective: float          # ||X||_theta at the optimum
     gap: float                # gap of the check_optimality report
     iterations: int
-    converged: bool
     # "converged": the splitting certified at a stopping test; "polished":
     # the interior-point polish did, at the stopping test of `iterations`;
     # "max_iters": neither, by max_iters
     stop_reason: str
     non_unique: bool
     state: SolverState
+
+    @property
+    def converged(self):
+        """Whether the returned certificate passed at tol_gap: read from
+        stop_reason, so the two cannot disagree."""
+        return self.stop_reason != "max_iters"
 
     def scaled(self):
         return self.x / self.objective
@@ -716,22 +717,21 @@ def solve(a, config):
                     chk, stop_reason = polished, "polished"
                     break
 
-    converged = stop_reason != "max_iters"
     cert = _dual_certificate(chk, e)
     lam, report = chk.lam, chk.report
     parts = _rank_one_parts(chk.x_rep, chk.fx)
     unique_spectral = chk.spectral_gap > 1e-8 * max(float(chk.sy[0]), 1e-300)
     unique_linf = theta > 0 and cert.linf_argmax_count == 1
     state = SolverState(theta=theta, iterations=k,
-                        converged=converged, primal_residual=r_rel,
-                        dual_residual=s_rel, cert_residual=report.max_residual,
+                        converged=stop_reason != "max_iters",
+                        primal_residual=r_rel, dual_residual=s_rel,
+                        cert_residual=report.max_residual,
                         certificate=cert, history=history)
     return Solution(x=np.ldexp(chk.x_rep, -e, out=chk.x_rep),
                     sigma=math.ldexp(parts.sigma, -e), u=parts.u, v=parts.v,
                     support_rows=parts.rows, support_cols=parts.cols,
                     objective=math.ldexp(lam, -e), gap=report.gap,
-                    iterations=k, converged=converged,
-                    stop_reason=stop_reason,
+                    iterations=k, stop_reason=stop_reason,
                     non_unique=not (unique_spectral or unique_linf),
                     state=state)
 
@@ -740,11 +740,12 @@ def recover_dual(a, theta, state):
     """Dual certificate (Y, Z and their measurements) of a converged solve.
 
     Returns the certificate built at the solve's last check, without new
-    computation. Y + Z = a holds exactly by construction.
+    computation. Y + Z = a holds exactly by construction. Raises
+    ValueError if the solve did not converge or solved another problem.
     """
     am = as_matrix(a)
     if not state.converged:
-        raise CertificateUnavailableError(
+        raise ValueError(
             "certificate requires a converged solve "
             f"(stopped after {state.iterations} iterations)")
     if am.shape != state.certificate.y.shape or theta != state.theta:

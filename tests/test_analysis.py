@@ -2,6 +2,7 @@
 the planted-certificate construction."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,63 @@ LOG7 = math.log(7.0)
 def tight(theta):
     return SolverConfig(theta=theta, tol_primal=1e-9, tol_dual=1e-9,
                         tol_gap=1e-9)
+
+
+def two_block_solve():
+    a = two_block_matrix()
+    return a, solve(a, tight(0.5))
+
+
+def noiseless_planted_solve():
+    model = PlantedModel(m=12, n=10, M=4, N=5, sigma0=2.0, c3=0.0)
+    a = plant_rank_one(model, seed=3).a
+    return a, model, solve(a, tight(1.0 / math.sqrt(20.0)))
+
+
+def ratio_check_of(theta=0.5, **changes):
+    a, sol = two_block_solve()
+    return row_ratio_check(a, replace(sol, **changes), theta, dual_norm=1.0)
+
+
+def planted_certificate_of(theta=0.2, model=None, **changes):
+    a, planted, sol = noiseless_planted_solve()
+    return build_planted_certificate(a, model or planted,
+                                     replace(sol, **changes), theta)
+
+
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: BlockSelector(rows=[0, -1], cols=[0]),
+                 "block indices must be nonnegative", id="negative-index"),
+    pytest.param(lambda: theta_A(np.zeros((3, 2))),
+                 "threshold undefined at the zero matrix", id="theta-A-zero"),
+    pytest.param(lambda: row_zero_threshold(np.ones((3, 2)), 0, 3),
+                 "row index out of range for 3 rows", id="row-past-end"),
+    pytest.param(lambda: row_zero_threshold(np.ones((3, 2)), -1, 0),
+                 "row index out of range for 3 rows", id="row-negative"),
+    pytest.param(lambda: ratio_check_of(theta=0.0),
+                 "ratio check requires theta > 0", id="ratio-theta"),
+    pytest.param(lambda: ratio_check_of(sigma=0.0),
+                 "solution must be nonzero rank-one", id="ratio-sigma"),
+    pytest.param(lambda: planted_certificate_of(theta=0.0),
+                 "certificate construction requires theta > 0",
+                 id="planted-theta"),
+    pytest.param(lambda: planted_certificate_of(
+                     model=PlantedModel(m=12, n=11, M=4, N=5)),
+                 "matrix shape disagrees with the model", id="planted-shape"),
+    pytest.param(lambda: planted_certificate_of(sigma=0.0),
+                 "solution must be nonzero", id="planted-sigma"),
+    # a factor entry below -1e-8 is not roundoff of a nonnegative factor
+    pytest.param(lambda: ratio_check_of(u=-two_block_solve()[1].u),
+                 "solution factors must be nonnegative", id="ratio-factors"),
+    pytest.param(lambda: planted_certificate_of(
+                     v=-noiseless_planted_solve()[2].v),
+                 "solution factors must be nonnegative",
+                 id="planted-factors"),
+])
+def test_invalid_arguments_named(call, message):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 class TestBlockSelector:
@@ -167,8 +225,7 @@ class TestRowZeroThresholds:
 
 class TestRowRatioCheck:
     def test_two_block_solution(self):
-        a = two_block_matrix()
-        sol = solve(a, tight(0.5))
+        a, sol = two_block_solve()
         report = row_ratio_check(a, sol, 0.5, dual_norm=1.0 / sol.objective)
         assert report.max_residual <= 1e-6
 
@@ -268,6 +325,21 @@ class TestValidatePlantedRegime:
                                          theta=10.0 / 40.0)
         assert "theta-above-window" in report.violated
 
+    @pytest.mark.parametrize("changes, c5, theta, violation", [
+        ({"c1": 0.1}, 0.05, 1.0 / 40.0, "c5-exceeds-perturbation-mass"),
+        ({"c3": 0.8}, 0.25, 1.0 / 40.0, "c3-plus-c5-below-one"),
+        ({}, 0.05, 1e-6, "theta-below-window"),
+        ({"c3": 0.5}, 0.05, 1.0 / 40.0, "block-area-vs-perimeter"),
+        # at c5 = 0 the window's upper end is 1 / (c3 root): 0.25 here
+        ({}, 0.0, 0.26, "theta-above-window"),
+    ])
+    def test_violation_reported(self, changes, c5, theta, violation):
+        report = validate_planted_regime(self.model(**changes), c5=c5,
+                                         theta=theta)
+        assert violation in report.violated and not report.valid
+        if c5 == 0.0:
+            assert report.theta_hi == pytest.approx(1.0 / (0.1 * 40.0))
+
     def test_size_conditions_reported(self):
         # desk-scale blocks violate both area conditions for b = 0.1
         report = validate_planted_regime(self.model(), c5=0.05,
@@ -280,11 +352,9 @@ class TestValidatePlantedRegime:
 
 class TestPlantedCertificate:
     def test_noiseless_certificate_tight(self):
-        model = PlantedModel(m=12, n=10, M=4, N=5, sigma0=2.0, c3=0.0)
-        inst = plant_rank_one(model, seed=3)
-        theta = 1.0 / math.sqrt(20.0)
-        sol = solve(inst.a, tight(theta))
-        report = build_planted_certificate(inst.a, model, sol, theta)
+        a, model, sol = noiseless_planted_solve()
+        report = build_planted_certificate(a, model, sol,
+                                           1.0 / math.sqrt(20.0))
         assert report.w12 <= 1e-8 and report.w21 <= 1e-8 and report.w22 <= 1e-8
         assert report.w11 <= 1e-6
         assert np.abs(report.v[:4, 5:]).max() <= 1e-12

@@ -568,6 +568,24 @@ class TestBicliqueCommand:
                                        and result["biclique_complete"])
         assert result["recovered"]
 
+    @pytest.mark.parametrize("max_iters, stop_reason",
+                             [("2000", "converged"), ("20", "max_iters")])
+    def test_solve_fields_match_solve_of_its_matrix(self, tmp_path,
+                                                    max_iters, stop_reason):
+        # the fields the two records share describe one solve
+        mtx, b, s = (tmp_path / name for name in ("b.mtx", "b.json", "s.json"))
+        config = ["--theta", "0.125", "--max-iters", max_iters]
+        assert run(["biclique", "--m", "30", "--n", "30", "--M", "8",
+                    "--N", "8", "--seed", "2", *config,
+                    "--matrix-output", str(mtx), "--output", str(b)]) == 0
+        assert run(["solve", "--input", str(mtx), *config,
+                    "--output", str(s)]) == 0
+        shared = ("support_rows", "support_cols", "dual_gap", "iterations",
+                  "converged", "stop_reason")
+        got, want = ({k: load(path)["result"][k] for k in shared}
+                     for path in (b, s))
+        assert got == want and got["stop_reason"] == stop_reason
+
     @pytest.mark.parametrize("sizes", [["--M", "0"], ["--M", "-1", "--N", "2"]],
                              ids=["zero", "negative"])
     def test_block_outside_matrix_rejected(self, capsys, sizes):

@@ -55,6 +55,14 @@ class TestSampleNoise:
 
 
 class TestPlantedModel:
+    @pytest.mark.parametrize("field", ["m", "n", "M", "N"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_dimensions_must_be_positive(self, field, value):
+        sizes = {"m": 4, "n": 4, "M": 2, "N": 2, field: value}
+        with pytest.raises(ValueError) as err:
+            PlantedModel(**sizes)
+        assert str(err.value) == "dimensions must be positive"
+
     def test_block_must_fit(self):
         with pytest.raises(ValueError):
             PlantedModel(m=4, n=4, M=4, N=2)

@@ -24,6 +24,19 @@ def small_matrix(rng, m=None, n=None, scale=2.0):
     return (rng.random((m, n)) - 0.3) * scale
 
 
+@pytest.mark.parametrize("a, message", [
+    (5.0, "expected a 2-D matrix, got ndim=0"),
+    (np.zeros(3), "expected a 2-D matrix, got ndim=1"),
+    (np.zeros((2, 2, 2)), "expected a 2-D matrix, got ndim=3"),
+    (np.zeros((0, 3)), "matrix axes must be positive, got shape (0, 3)"),
+    (np.zeros((3, 0)), "matrix axes must be positive, got shape (3, 0)"),
+])
+def test_as_matrix_rejects_shape(a, message):
+    with pytest.raises(ValueError) as err:
+        linalg.as_matrix(a)
+    assert str(err.value) == message
+
+
 class TestNorms:
     def test_diagonal_values(self):
         a = np.diag([3.0, 4.0])

@@ -1,12 +1,15 @@
 """Tests for the greedy factorization driver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from laros import nmf
 from laros.analysis import BlockSelector
 from laros.generate import two_block_matrix
 from laros.nmf import greedy_extract, residual_update
-from laros.solver import ConvergenceError, SolverConfig
+from laros.solver import ConvergenceError, SolverConfig, extract_rank_one
 
 
 def tight():
@@ -105,6 +108,24 @@ class TestGreedyExtract:
         a = rng.random((8, 8)) + 0.1
         res = greedy_extract(a, 4, 0.2 / np.sqrt(a.size), tight())
         assert np.all(np.diff(res.residual_norms) <= 1e-12)
+
+    @pytest.mark.parametrize("p", [0, -1])
+    def test_feature_count_checked(self, p):
+        with pytest.raises(ValueError) as err:
+            greedy_extract(np.ones((3, 3)), p, 0.1, tight())
+        assert str(err.value) == "feature count must be >= 1"
+
+    def test_negative_leading_pair_rejected(self, monkeypatch):
+        # Perron-Frobenius makes the pair nonnegative up to roundoff; a
+        # pair beyond it (tied singular values) stops the round
+        def flipped(x):
+            lead = extract_rank_one(x)
+            return replace(lead, u=-lead.u)
+        monkeypatch.setattr(nmf, "extract_rank_one", flipped)
+        with pytest.raises(ValueError) as err:
+            greedy_extract(two_block_matrix(), 2, 0.5, tight())
+        assert str(err.value) == ("round 1: leading singular pair is not "
+                                  "nonnegative (tied singular values?)")
 
     def test_theta_schedule_length_checked(self):
         a = np.ones((3, 3))

@@ -19,9 +19,9 @@ from laros.analysis import theta_A
 from laros.generate import (PlantedModel, plant_biclique, plant_rank_one,
                             two_block_matrix)
 from laros.linalg import norm, theta_norm
-from laros.solver import (CertificateUnavailableError, DualCertificate,
-                          OptimalityReport, SolverConfig, check_optimality,
-                          extract_rank_one, recover_dual, solve)
+from laros.solver import (DualCertificate, OptimalityReport, SolverConfig,
+                          check_optimality, extract_rank_one, recover_dual,
+                          solve)
 
 from oracles import dr2_residuals, dual_norm_oracle, l1_halfspace_prox
 from test_linalg import small_matrix
@@ -67,6 +67,13 @@ class TestSolve:
         assert list(sol.support_cols) == [3, 4, 5]
         nz = sol.x[np.abs(sol.x) > 1e-8]
         assert nz.min() >= 0.08 - 0.01 and nz.max() <= 0.16 + 0.01
+
+    def test_converged_reads_stop_reason(self):
+        sol = solve(two_block_matrix(), tight(0.5))
+        assert "converged" not in {f.name for f in fields(type(sol))}
+        for reason, converged in (("converged", True), ("polished", True),
+                                  ("max_iters", False)):
+            assert replace(sol, stop_reason=reason).converged is converged
 
     def test_theta_zero_is_rank_one_fit(self):
         rng = np.random.default_rng(3)
@@ -336,7 +343,7 @@ class TestRecoverDual:
     def test_unconverged_state_rejected(self):
         a = np.random.default_rng(8).random((5, 5))
         sol = solve(a, SolverConfig(theta=0.4, max_iters=2))
-        with pytest.raises(CertificateUnavailableError):
+        with pytest.raises(ValueError, match="converged solve"):
             recover_dual(a, 0.4, sol.state)
 
     def test_mismatched_problem_rejected(self):
@@ -591,7 +598,8 @@ class TestGatedChecks:
                                    tol_primal=0.5, tol_dual=0.5,
                                    tol_gap=1e-300))
         assert not checked.converged
-        assert_same_solve(replace(checked, converged=gated.converged), gated)
+        assert_same_solve(replace(checked, stop_reason=gated.stop_reason),
+                          gated)
         assert len(checked.state.history) == len(gated.state.history)
         for h, ref in zip(gated.state.history, checked.state.history):
             assert "cert_residual" in ref
