@@ -14,14 +14,14 @@ from .generate import (PlantedInstance, PlantedModel, plant_biclique,
 from .linalg import norm, soft_threshold, svt, theta_norm
 from .nmf import NmfResult, greedy_extract, residual_update
 from .solver import (ConvergenceError, DualCertificate, OptimalityReport,
-                     RankOneParts, Solution, SolverConfig, SolverState,
-                     check_optimality, extract_rank_one, recover_dual, solve)
+                     RankOneParts, Solution, SolverConfig, check_optimality,
+                     extract_rank_one, recover_dual, solve)
 
 __all__ = [
     "BlockSelector", "ConvergenceError", "DualCertificate", "NmfResult",
     "OptimalityReport", "PlantedCertificateReport", "PlantedInstance",
     "PlantedModel", "RankOneParts", "RegimeReport", "RowRatioReport",
-    "Solution", "SolverConfig", "SolverState", "build_planted_certificate",
+    "Solution", "SolverConfig", "build_planted_certificate",
     "check_optimality", "extract_rank_one", "greedy_extract", "norm",
     "plant_biclique", "plant_rank_one", "recover_dual", "residual_update",
     "row_ratio_check", "row_zero_threshold", "row_zero_thresholds",

@@ -111,7 +111,7 @@ def _cmd_solve(args):
         write_matrix(args.solution_output, sol.x)
         result["solution_path"] = args.solution_output
     if args.certificate_output:
-        write_certificate(args.certificate_output, sol.state.certificate)
+        write_certificate(args.certificate_output, sol.certificate)
         result["certificate_path"] = args.certificate_output
     return result, {"matrix": args.input}, asdict(config)
 

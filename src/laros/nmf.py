@@ -91,9 +91,9 @@ def greedy_extract(a, p, theta, config):
         if not sol.converged:
             raise ConvergenceError(
                 f"round {k + 1}: solver stopped at iteration {sol.iterations} "
-                f"with residuals primal={sol.state.primal_residual:.2e} "
-                f"dual={sol.state.dual_residual:.2e} "
-                f"certificate={sol.state.cert_residual:.2e}")
+                f"with residuals primal={sol.primal_residual:.2e} "
+                f"dual={sol.dual_residual:.2e} "
+                f"certificate={sol.cert_residual:.2e}")
         block = BlockSelector(rows=sol.support_rows, cols=sol.support_cols)
         lead = extract_rank_one(resid[np.ix_(block.rows, block.cols)])
         sigma, u, v = lead.sigma, lead.u, lead.v

@@ -131,26 +131,6 @@ class DualCertificate:
     linf_argmax_count: int = 0
 
 
-@dataclass
-class SolverState:
-    """Stopping residuals of a solve, cert_residual the max_residual of its
-    last check, and the dual certificate built there (the final iterate)."""
-
-    theta: float
-    iterations: int
-    converged: bool
-    primal_residual: float
-    dual_residual: float
-    cert_residual: float
-    certificate: DualCertificate
-    # one dict per stopping test, in order: iteration, primal_residual,
-    # dual_residual and step, ||z+ - z|| in the units of a, which relaxed
-    # Douglas-Rachford keeps nonincreasing; where the test checked the
-    # certificate, also cert_residual (the check's max_residual) and
-    # weak_duality_slack (dual - 1/objective in the units of a)
-    history: list
-
-
 @dataclass(frozen=True)
 class OptimalityReport:
     """Residuals of the optimality system for a scaled candidate X.
@@ -194,7 +174,9 @@ class RankOneParts:
 
 @dataclass
 class Solution:
-    """Optimizer of the constrained problem, <A, X> = 1 normalization.
+    """Optimizer of the constrained problem, <A, X> = 1 normalization, with
+    the residuals of the solve's last stopping test, cert_residual the
+    max_residual of its last check, and the certificate built there.
 
     `scaled()` returns the unit-theta-norm variant X / objective.
     """
@@ -213,13 +195,29 @@ class Solution:
     # "max_iters": neither, by max_iters
     stop_reason: str
     non_unique: bool
-    state: SolverState
+    theta: float
+    primal_residual: float
+    dual_residual: float
+    cert_residual: float
+    certificate: DualCertificate
+    # one dict per stopping test, in order: iteration, primal_residual,
+    # dual_residual and step, ||z+ - z|| in the units of a, which relaxed
+    # Douglas-Rachford keeps nonincreasing; where the test checked the
+    # certificate, also cert_residual (the check's max_residual) and
+    # weak_duality_slack (dual - 1/objective in the units of a)
+    history: list
 
     @property
     def converged(self):
         """Whether the returned certificate passed at tol_gap: read from
         stop_reason, so the two cannot disagree."""
         return self.stop_reason != "max_iters"
+
+    @property
+    def state(self):
+        """This solution, for the benchmark's `recover_dual(a, theta,
+        sol.state)`: its only reader until ROADMAP item 2 moves the bench."""
+        return self
 
     def scaled(self):
         return self.x / self.objective
@@ -590,7 +588,7 @@ def solve(a, config):
     and max_iters) where ||x1 - x2|| and the drift of x2 fall below
     tol_primal and tol_dual and the `check_optimality` report of the
     iterate passes at tol_gap (stop_reason "converged"); the solution's
-    gap and state.cert_residual are its gap and max_residual.
+    gap and cert_residual are its gap and max_residual.
 
     On a small problem whose residuals decay as 1/k (a dual-degenerate
     one), the stopping test at iteration _POLISH_AT (1600) runs an
@@ -601,7 +599,7 @@ def solve(a, config):
     At max_iters without either, the final iterate is returned with
     converged=False (stop_reason "max_iters"). In every case the dual
     certificate is the one checked last, and converged=True means that it
-    passed at tol_gap. Every stopping test is recorded in state.history.
+    passed at tol_gap. Every stopping test is recorded in history.
 
     The problem is homogeneous in a: the splitting runs on a / 2^e, with
     ||a / 2^e||_inf in [0.5, 1) (`_scale_exponent`), where ||a||_F^2 and
@@ -722,35 +720,33 @@ def solve(a, config):
     parts = _rank_one_parts(chk.x_rep, chk.fx)
     unique_spectral = chk.spectral_gap > 1e-8 * max(float(chk.sy[0]), 1e-300)
     unique_linf = theta > 0 and cert.linf_argmax_count == 1
-    state = SolverState(theta=theta, iterations=k,
-                        converged=stop_reason != "max_iters",
-                        primal_residual=r_rel, dual_residual=s_rel,
-                        cert_residual=report.max_residual,
-                        certificate=cert, history=history)
     return Solution(x=np.ldexp(chk.x_rep, -e, out=chk.x_rep),
                     sigma=math.ldexp(parts.sigma, -e), u=parts.u, v=parts.v,
                     support_rows=parts.rows, support_cols=parts.cols,
                     objective=math.ldexp(lam, -e), gap=report.gap,
                     iterations=k, stop_reason=stop_reason,
                     non_unique=not (unique_spectral or unique_linf),
-                    state=state)
+                    theta=theta, primal_residual=r_rel, dual_residual=s_rel,
+                    cert_residual=report.max_residual, certificate=cert,
+                    history=history)
 
 
-def recover_dual(a, theta, state):
-    """Dual certificate (Y, Z and their measurements) of a converged solve.
+def recover_dual(a, theta, sol):
+    """sol.certificate, the dual certificate (Y, Z and their measurements)
+    of a converged solve, after checks; kept for the benchmark.
 
-    Returns the certificate built at the solve's last check, without new
-    computation. Y + Z = a holds exactly by construction. Raises
-    ValueError if the solve did not converge or solved another problem.
+    Y + Z = a holds exactly by construction. Raises ValueError if the
+    solve did not converge (read from sol.stop_reason) or solved another
+    problem.
     """
     am = as_matrix(a)
-    if not state.converged:
+    if not sol.converged:
         raise ValueError(
             "certificate requires a converged solve "
-            f"(stopped after {state.iterations} iterations)")
-    if am.shape != state.certificate.y.shape or theta != state.theta:
-        raise ValueError("state does not match the given problem")
-    return state.certificate
+            f"(stopped after {sol.iterations} iterations)")
+    if am.shape != sol.certificate.y.shape or theta != sol.theta:
+        raise ValueError("solution does not match the given problem")
+    return sol.certificate
 
 
 def _dual_value(ny, nz, theta):

@@ -9,7 +9,8 @@ from laros import nmf
 from laros.analysis import BlockSelector
 from laros.generate import two_block_matrix
 from laros.nmf import greedy_extract, residual_update
-from laros.solver import ConvergenceError, SolverConfig, extract_rank_one
+from laros.solver import (ConvergenceError, SolverConfig, extract_rank_one,
+                          solve)
 
 
 def tight():
@@ -133,12 +134,16 @@ class TestGreedyExtract:
             greedy_extract(a, 2, [0.1, 0.2, 0.3], tight())
 
     def test_unconverged_round_raises(self):
+        # the message reports the residuals of the failing first round
         config = SolverConfig(theta=0.0, max_iters=1)
-        with pytest.raises(ConvergenceError,
-                           match=r"^round 1: solver stopped at iteration 1 "
-                                 r"with residuals primal=\S+ dual=\S+ "
-                                 r"certificate=\S+$"):
+        first = solve(two_block_matrix(), replace(config, theta=0.5))
+        with pytest.raises(ConvergenceError) as err:
             greedy_extract(two_block_matrix(), 2, 0.5, config)
+        assert str(err.value) == (
+            "round 1: solver stopped at iteration 1 with residuals "
+            f"primal={first.primal_residual:.2e} "
+            f"dual={first.dual_residual:.2e} "
+            f"certificate={first.cert_residual:.2e}")
 
     @pytest.mark.parametrize("scale", [2.0 ** 600, 2.0 ** -600, 1e200,
                                        1e-200, 1e300, 1e-300],

@@ -10,3 +10,9 @@ def test_export_list_resolves_without_repeats():
     namespace = {}
     exec("from laros import *", namespace)
     assert set(laros.__all__) <= set(namespace)
+
+
+def test_solver_state_folded_into_solution():
+    # a solve's residuals, history and certificate are fields of Solution
+    assert not hasattr(laros, "SolverState")
+    assert not hasattr(laros.solver, "SolverState")

@@ -40,7 +40,7 @@ class TestSolverProperties:
             sol = solve(a, SolverConfig(theta=theta, tol_primal=0.5,
                                         tol_dual=0.5))
             assert sol.converged
-            history = sol.state.history
+            history = sol.history
             assert len(history) == sol.iterations
             slacks = [h["weak_duality_slack"] for h in history
                       if "weak_duality_slack" in h]
@@ -69,7 +69,7 @@ class TestSolverProperties:
             a = rng.random((4, 5)) + 0.05
             theta = float(rng.uniform(0.05, 1.5))
             base = solve(a, fast(theta))
-            ref = base.state.certificate
+            ref = base.certificate
             for exponent in rng.uniform(-250.0, 250.0, size=8):
                 scale = 10.0 ** exponent
                 sol = solve(a * scale, fast(theta))
@@ -80,7 +80,7 @@ class TestSolverProperties:
                     base.objective, rel=1e-9)
                 np.testing.assert_allclose(sol.x * scale, base.x, rtol=0,
                                            atol=1e-9 * np.abs(base.x).max())
-                cert = sol.state.certificate
+                cert = sol.certificate
                 assert cert.dual_norm / scale == pytest.approx(
                     ref.dual_norm, rel=1e-9)
                 np.testing.assert_allclose(cert.y / scale, ref.y, rtol=0,

@@ -1,7 +1,7 @@
 """Tests for the splitting solver, dual norm, certificates, and the
 optimality checker."""
 
-import inspect
+import dis
 import math
 import sys
 import warnings
@@ -345,6 +345,13 @@ class TestRecoverDual:
         sol = solve(a, SolverConfig(theta=0.4, max_iters=2))
         with pytest.raises(ValueError, match="converged solve"):
             recover_dual(a, 0.4, sol.state)
+        # converged is read from stop_reason, so a converged solve
+        # relabelled as capped has its certificate withheld too
+        sol = solve(a, tight(0.4))
+        assert sol.converged
+        with pytest.raises(ValueError, match="converged solve"):
+            recover_dual(a, 0.4, replace(sol, stop_reason="max_iters").state)
+        assert sol.state is sol
 
     def test_mismatched_problem_rejected(self):
         a = np.random.default_rng(8).random((5, 5))
@@ -365,7 +372,7 @@ class TestRecoverDual:
 
         monkeypatch.setattr(np.linalg, "svd", no_svd)
         cert = recover_dual(a, 0.5, sol.state)
-        assert cert is sol.state.certificate
+        assert cert is sol.certificate
         np.testing.assert_allclose(cert.y + cert.z, a, rtol=0, atol=1e-12)
 
 
@@ -378,7 +385,7 @@ class TestSolverInvariants:
         sol = solve(a, SolverConfig(theta=0.6, tol_primal=0.5,
                                     tol_dual=0.5, tol_gap=1e-9))
         assert sol.converged
-        history = sol.state.history
+        history = sol.history
         assert len(history) >= 2
         for entry in history:
             assert entry["weak_duality_slack"] >= -1e-9
@@ -392,7 +399,7 @@ class TestSolverInvariants:
         sol = solve(a, SolverConfig(theta=0.7, tol_primal=1e-10,
                                     tol_dual=1e-10, tol_gap=1e-10))
         assert sol.converged
-        steps = np.array([h["step"] for h in sol.state.history])
+        steps = np.array([h["step"] for h in sol.history])
         assert steps.size == sol.iterations
         assert np.diff(steps).max(initial=0.0) <= 1e-12 * steps[0]
 
@@ -402,7 +409,7 @@ class TestSolverInvariants:
         config = SolverConfig(theta=1.5, max_iters=1013)
         sol = solve(c04_instances()[case], config)
         assert sol.converged == (case == 1)
-        history = sol.state.history
+        history = sol.history
         # a stopping test at 8, 16 and 24, at every multiple of 25 and at
         # max_iters
         want = [8, 16, 24] + list(range(25, sol.iterations + 1, 25))
@@ -415,9 +422,9 @@ class TestSolverInvariants:
                     "step"} <= set(h)
             assert all(math.isfinite(v) for v in h.values())
         last = history[-1]
-        assert last["cert_residual"] == sol.state.cert_residual
+        assert last["cert_residual"] == sol.cert_residual
         assert (last["primal_residual"], last["dual_residual"]) == (
-            sol.state.primal_residual, sol.state.dual_residual)
+            sol.primal_residual, sol.dual_residual)
 
     def test_scaling_bridge(self):
         rng = np.random.default_rng(12)
@@ -465,7 +472,7 @@ class TestStoppingSchedule:
                                     tol_dual=1e-7, tol_gap=1e-7))
         assert sol.converged and sol.iterations == 16
         assert len(checks) == 1
-        assert [h["iteration"] for h in sol.state.history] == [8, 16]
+        assert [h["iteration"] for h in sol.history] == [8, 16]
         assert sol.gap <= 1e-7
 
 
@@ -535,13 +542,13 @@ def assert_same_solve(got, want):
     assert got.gap == want.gap and got.objective == want.objective
     assert got.iterations == want.iterations
     assert got.converged == want.converged
-    assert got.state.cert_residual == want.state.cert_residual
-    assert got.state.primal_residual == want.state.primal_residual
-    assert got.state.dual_residual == want.state.dual_residual
-    np.testing.assert_array_equal(got.state.certificate.y,
-                                  want.state.certificate.y)
-    np.testing.assert_array_equal(got.state.certificate.z,
-                                  want.state.certificate.z)
+    assert got.cert_residual == want.cert_residual
+    assert got.primal_residual == want.primal_residual
+    assert got.dual_residual == want.dual_residual
+    np.testing.assert_array_equal(got.certificate.y,
+                                  want.certificate.y)
+    np.testing.assert_array_equal(got.certificate.z,
+                                  want.certificate.z)
 
 
 def planted_120x157():
@@ -600,8 +607,8 @@ class TestGatedChecks:
         assert not checked.converged
         assert_same_solve(replace(checked, stop_reason=gated.stop_reason),
                           gated)
-        assert len(checked.state.history) == len(gated.state.history)
-        for h, ref in zip(gated.state.history, checked.state.history):
+        assert len(checked.history) == len(gated.history)
+        for h, ref in zip(gated.history, checked.history):
             assert "cert_residual" in ref
             can_stop = (h["primal_residual"] <= config.tol_primal
                         and h["dual_residual"] <= config.tol_dual)
@@ -612,7 +619,7 @@ class TestGatedChecks:
                              "primal_residual", "dual_residual", "step")}
         if not gated.converged:
             assert gated.iterations == config.max_iters == 1013
-            assert np.isfinite(gated.state.cert_residual)
+            assert np.isfinite(gated.cert_residual)
 
 
 class TestInputScale:
@@ -636,7 +643,7 @@ class TestInputScale:
         assert np.array_equal(np.ldexp(sol.x, -700), base.x)
         assert sol.objective == np.ldexp(base.objective, 700)
         assert sol.sigma == np.ldexp(base.sigma, 700)
-        cert, ref = sol.state.certificate, base.state.certificate
+        cert, ref = sol.certificate, base.certificate
         assert np.array_equal(np.ldexp(cert.y, 700), ref.y)
         assert np.array_equal(np.ldexp(cert.z, 700), ref.z)
         assert cert.dual_norm == np.ldexp(ref.dual_norm, -700)
@@ -679,7 +686,7 @@ class TestSplittingReference:
         config = SolverConfig(theta=theta, max_iters=60, tol_primal=1e-300)
         sol = solve(a, config)
         assert sol.iterations == 60
-        history = sol.state.history
+        history = sol.history
         assert [h["iteration"] for h in history] == list(range(1, 61))
         ref = dr2_residuals(a, theta, penalty, solver_module._RELAX, 60)
         for i, name in enumerate(("primal_residual", "dual_residual",
@@ -754,7 +761,7 @@ class TestGapStop:
         monkeypatch.setattr(solver_module, "_check", gapped)
         sol = solve(two_block_matrix(), config)
         assert not sol.converged and sol.iterations == 1500
-        assert sol.gap == 1.0 and sol.state.cert_residual == 1.0
+        assert sol.gap == 1.0 and sol.cert_residual == 1.0
 
 
 class TestOneScorer:
@@ -784,7 +791,7 @@ class TestOneScorer:
                 a, config.theta, sol.scaled(),
                 recover_dual(a, config.theta, sol.state))
             assert report.gap == sol.gap
-            assert report.max_residual == sol.state.cert_residual
+            assert report.max_residual == sol.cert_residual
         assert converged >= 30
 
 
@@ -808,17 +815,17 @@ class TestPolish:
         sol = solve(a, SolverConfig(theta=1.5, max_iters=15000))
         assert sol.converged and sol.stop_reason == "polished"
         assert sol.iterations == solver_module._POLISH_AT
-        history = sol.state.history
+        history = sol.history
         # the polish updates its stopping test's entry and appends none
         want = [8, 16, 24] + list(range(25, sol.iterations + 1, 25))
         assert [h["iteration"] for h in history] == want
         last = history[-1]
         assert 0 < last["polish_steps"] <= solver_module._POLISH_STEPS
-        assert last["cert_residual"] == sol.state.cert_residual
+        assert last["cert_residual"] == sol.cert_residual
         assert all("polish_steps" not in h for h in history[:-1])
         report = check_optimality(a, 1.5, sol.scaled(),
                                   recover_dual(a, 1.5, sol.state))
-        assert report.max_residual == sol.state.cert_residual <= 1e-8
+        assert report.max_residual == sol.cert_residual <= 1e-8
         assert report.gap == sol.gap
         assert sol.x.min() >= -1e-9
 
@@ -827,7 +834,7 @@ class TestPolish:
         # polish could run
         sol = solve(c04_matrix(0), SolverConfig(theta=1.5, max_iters=15000))
         assert sol.stop_reason == "converged" and sol.iterations == 100
-        assert all("polish_steps" not in h for h in sol.state.history)
+        assert all("polish_steps" not in h for h in sol.history)
 
     @pytest.mark.parametrize("failure", ["report fails", "LinAlgError"])
     def test_failed_polish_leaves_splitting(self, monkeypatch, failure):
@@ -856,13 +863,13 @@ class TestPolish:
         assert sol.non_unique == want.non_unique
         np.testing.assert_array_equal(sol.u, want.u)
         np.testing.assert_array_equal(sol.support_cols, want.support_cols)
-        polished = {h["iteration"]: h for h in sol.state.history}[
+        polished = {h["iteration"]: h for h in sol.history}[
             solver_module._POLISH_AT]
         if failure == "LinAlgError":
             assert "polish_steps" not in polished
         else:
             assert polished["cert_residual"] == 1.0
-        for h, ref in zip(sol.state.history, want.state.history):
+        for h, ref in zip(sol.history, want.history):
             assert h == ref or h is polished
 
     @settings(max_examples=200, deadline=None)
@@ -900,7 +907,7 @@ class TestPolish:
         config = SolverConfig(theta=theta, max_iters=2000)
         sol = solve(a, config)
         report = check_optimality(a, theta, sol.scaled(),
-                                  sol.state.certificate)
+                                  sol.certificate)
         assert sol.converged == report.passed(config.tol_gap)
         assert sol.stop_reason in ("converged", "polished", "max_iters")
 
@@ -934,6 +941,25 @@ def lines_run(func, call):
     finally:
         sys.settrace(previous)
     return ran
+
+
+def store_line(func, name, reads):
+    """The first line of `func` (a function) that stores the local `name`
+    after reading every local in `reads`, found in its bytecode, not in
+    its source file, which may have changed since the import."""
+    starts = dict(dis.findlinestarts(func.__code__))
+    line, read = None, set()
+    for ins in dis.get_instructions(func):
+        if starts.get(ins.offset) is not None:
+            line, read = starts[ins.offset], set()
+        if ins.opname.startswith("LOAD_FAST"):
+            # from Python 3.13 one instruction may load two locals
+            args = ins.argval
+            read.update(args if isinstance(args, tuple) else (args,))
+        elif (ins.opname == "STORE_FAST" and ins.argval == name
+              and reads <= read):
+            return line
+    raise LookupError(f"{func.__qualname__} stores no {name} from {reads}")
 
 
 class TestL1HalfspaceProx:
@@ -1046,9 +1072,7 @@ class TestL1HalfspaceProx:
         # the bracket [lo, hi], where the root find bisects: about one
         # root find in fifteen on these small nonnegative instances
         call = solver_module._GProx.__call__
-        source, first = inspect.getsourcelines(call)
-        bisect = first + next(i for i, line in enumerate(source)
-                              if "nxt = 0.5 * (lo + hi)" in line)
+        bisect = store_line(call, "nxt", {"lo", "hi"})
         bisected = 0
         for a, w, t, prox in self.stale_draws(seed):
             ran = lines_run(call, partial(self.check, a, w, t, prox))
