@@ -163,17 +163,17 @@ class RowRatioReport:
         return float(np.max(np.concatenate(parts), initial=0.0))
 
 
-def row_ratio_check(a, sol, theta, dual_norm):
+def row_ratio_check(a, sol):
     """Check the rank-one optimality ratios of a solved instance.
 
     For a nonnegative rank-one solution sigma*u*v^T: every supported row i
     must satisfy (a_i . v)/(theta*||v||_1 + u_i) = dual norm, and every zero
     row j must satisfy (a_j . v)/(theta*||v||_1) <= dual norm; columns
-    symmetrically. Residuals are relative to the dual norm, which the
-    caller supplies (1 / sol.objective for an exact solve).
+    symmetrically, with theta = sol.theta. Residuals are relative to the
+    dual norm, 1 / sol.objective.
     """
     am = as_matrix(a)
-    if theta <= 0:
+    if sol.theta <= 0:
         raise ValueError("ratio check requires theta > 0")
     u = np.asarray(sol.u, dtype=float)
     v = np.asarray(sol.v, dtype=float)
@@ -183,7 +183,7 @@ def row_ratio_check(a, sol, theta, dual_norm):
     if sx.size > 1 and sx[1] > 1e-6 * sx[0]:
         raise ValueError("solution is not numerically rank-one")
     u, v = _clamp_nonnegative(u, v, "solution factors must be nonnegative")
-    d = float(dual_norm)
+    theta, d = sol.theta, 1.0 / sol.objective
 
     tv = theta * v.sum()
     tu = theta * u.sum()
@@ -283,17 +283,17 @@ class PlantedCertificateReport:
     passed: bool
 
 
-def build_planted_certificate(a, model, sol, theta):
+def build_planted_certificate(a, model, sol):
     """Assemble the blockwise dual certificate for a solved planted instance.
 
-    Uses lambda* from the solver objective. The (1,1) blocks are the
+    Uses sol.theta and lambda* = sol.objective. The (1,1) blocks are the
     rank-one system u1 v1^T + W11 + theta*ones = lambda* A11; off-diagonal
     V blocks are built column-by-column (rows for the transposed side) so
     that W^T u1 and W v1 vanish by construction; V22 is the constant block
     that centers W22. `passed` allows each norm condition a slack of 1e-6.
     """
     am = as_matrix(a)
-    if theta <= 0:
+    if sol.theta <= 0:
         raise ValueError("certificate construction requires theta > 0")
     bm, bn = model.M, model.N
     m, n = am.shape
@@ -309,11 +309,9 @@ def build_planted_certificate(a, model, sol, theta):
     u1, v1 = _clamp_nonnegative(u1, v1,
                                 "solution factors must be nonnegative")
 
-    lam = sol.objective
-    a11 = am[:bm, :bn]
+    lam, theta = sol.objective, sol.theta
     a12 = am[:bm, bn:]
     a21 = am[bm:, :bn]
-    a22 = am[bm:, bn:]
 
     v_mat = np.zeros((m, n))
     v_mat[:bm, :bn] = 1.0

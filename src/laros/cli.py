@@ -207,10 +207,14 @@ def _cmd_certify(args):
 
 def _cmd_nmf(args):
     thetas = _parse_list(args.theta, "--theta", float, "numbers")
+    if len(thetas) == 1:
+        thetas *= args.features
+    elif len(thetas) != args.features:
+        raise ValueError(f"theta schedule has {len(thetas)} entries, "
+                         f"expected {args.features}")
+    configs = [_solver_config(args, theta) for theta in thetas]
     a = parse_matrix(args.input)
-    theta = thetas[0] if len(thetas) == 1 else thetas
-    config = _solver_config(args, thetas[0])
-    res = greedy_extract(a, args.features, theta, config)
+    res = greedy_extract(a, configs)
     write_matrix(args.w_output, res.w)
     write_matrix(args.h_output, res.h)
     result = {
@@ -224,7 +228,7 @@ def _cmd_nmf(args):
         "short_count": res.short_count,
     }
     # theta as given: a schedule is recorded whole
-    params = {**asdict(config), "theta": args.theta,
+    params = {**asdict(configs[0]), "theta": args.theta,
               "features": args.features}
     return result, {"matrix": args.input}, params
 

@@ -3,7 +3,7 @@ rank-one submatrix, refit it by the leading singular pair of that
 submatrix, subtract, and clamp the residual at zero."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,27 +50,23 @@ def residual_update(r, sigma, u, v, block):
     return out
 
 
-def greedy_extract(a, p, theta, config):
-    """Extract up to `p` rank-one features from nonnegative `a`.
+def greedy_extract(a, configs):
+    """Extract up to len(configs) rank-one features from nonnegative `a`.
 
-    Each round solves the relaxation on the current residual with the
-    settings of `config` at that round's theta (scalar theta is reused; a
-    sequence gives a per-round schedule), reads off the support, refits
-    the feature as the leading singular pair of the residual restricted to
-    the support, subtracts and clamps. Stops early (short count) once the
-    residual is numerically zero. Raises ConvergenceError if an inner
-    solve fails to converge.
+    Round k solves the relaxation on the current residual with the
+    settings of configs[k], reads off the support, refits the feature as
+    the leading singular pair of the residual restricted to the support,
+    subtracts and clamps. Stops early (short count) once the residual is
+    numerically zero. Raises ConvergenceError if an inner solve fails to
+    converge.
     """
     am = as_matrix(a)
     if am.min() < 0:
         raise ValueError("input must be nonnegative")
     if not am.any():
         raise ValueError("input matrix is zero")
-    if p < 1:
+    if not configs:
         raise ValueError("feature count must be >= 1")
-    thetas = [float(theta)] * p if np.isscalar(theta) else [float(t) for t in theta]
-    if len(thetas) != p:
-        raise ValueError(f"theta schedule has {len(thetas)} entries, expected {p}")
 
     # ||r||_F taken on r / 2^e, whose sum of squares neither overflows nor
     # underflows at any scale of a; the scaling is exact
@@ -84,10 +80,10 @@ def greedy_extract(a, p, theta, config):
     norms = [fro(resid)]
     w_cols, h_cols, supports = [], [], []
     floor = 1e-12 * norms[0]
-    for k in range(p):
+    for k, config in enumerate(configs):
         if norms[-1] <= floor:
             break
-        sol = solve(resid, replace(config, theta=thetas[k]))
+        sol = solve(resid, config)
         if not sol.converged:
             raise ConvergenceError(
                 f"round {k + 1}: solver stopped at iteration {sol.iterations} "
@@ -117,4 +113,4 @@ def greedy_extract(a, p, theta, config):
     # either raises or appends
     return NmfResult(w=np.column_stack(w_cols), h=np.column_stack(h_cols),
                      residual_norms=np.array(norms), supports=tuple(supports),
-                     requested=p)
+                     requested=len(configs))

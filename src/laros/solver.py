@@ -710,10 +710,12 @@ def solve(a, config):
                 continue    # a factorization failed: the splitting goes on
             entry["polish_steps"] = steps
             if polished is not None:
-                record(entry, polished)
                 if polished.report.passed(config.tol_gap):
+                    record(entry, polished)
                     chk, stop_reason = polished, "polished"
                     break
+                # declined: the entry keeps the splitting's own check
+                entry["polish_cert_residual"] = polished.report.max_residual
 
     cert = _dual_certificate(chk, e)
     lam, report = chk.lam, chk.report

@@ -197,7 +197,7 @@ class TestAcceptance:
                                      rng.random(20) + 0.5)
         a += rng.uniform(0.0, 0.01, size=(40, 40))
         theta = 0.5 / math.sqrt(a.size)
-        res = greedy_extract(a, 2, theta, SolverConfig(theta=theta))
+        res = greedy_extract(a, 2 * [SolverConfig(theta=theta)])
         rel = res.residual_norms[-1] / res.residual_norms[0]
         monotone = bool(np.all(np.diff(res.residual_norms) <= 1e-12))
         report(9, res.extracted == 2 and rel < 0.05 and monotone,

@@ -34,15 +34,15 @@ def noiseless_planted_solve():
     return a, model, solve(a, tight(1.0 / math.sqrt(20.0)))
 
 
-def ratio_check_of(theta=0.5, **changes):
+def ratio_check_of(**changes):
     a, sol = two_block_solve()
-    return row_ratio_check(a, replace(sol, **changes), theta, dual_norm=1.0)
+    return row_ratio_check(a, replace(sol, **changes))
 
 
-def planted_certificate_of(theta=0.2, model=None, **changes):
+def planted_certificate_of(model=None, **changes):
     a, planted, sol = noiseless_planted_solve()
     return build_planted_certificate(a, model or planted,
-                                     replace(sol, **changes), theta)
+                                     replace(sol, **changes))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -226,13 +226,13 @@ class TestRowZeroThresholds:
 class TestRowRatioCheck:
     def test_two_block_solution(self):
         a, sol = two_block_solve()
-        report = row_ratio_check(a, sol, 0.5, dual_norm=1.0 / sol.objective)
+        report = row_ratio_check(a, sol)
         assert report.max_residual <= 1e-6
 
     def test_singleton_solution_exact(self):
         a = np.array([[5.0, 1.0], [1.0, 1.0]])
         sol = solve(a, tight(3.0))
-        report = row_ratio_check(a, sol, 3.0, dual_norm=1.0 / sol.objective)
+        report = row_ratio_check(a, sol)
         # analytic dual norm of the singleton optimum: 5/(1+theta)
         assert 1.0 / sol.objective == pytest.approx(5.0 / 4.0, abs=1e-8)
         assert report.row_in_support.max() <= 1e-8
@@ -247,7 +247,7 @@ class TestRowRatioCheck:
         bad.x = np.outer(bad.u, bad.v) / a[1, 1]
         bad.support_rows = np.array([1])
         bad.support_cols = np.array([1])
-        report = row_ratio_check(a, bad, 3.0, dual_norm=1.25)
+        report = row_ratio_check(a, bad)
         assert report.max_residual > 0.1
 
     def test_requires_rank_one(self):
@@ -257,7 +257,7 @@ class TestRowRatioCheck:
         wide.x = a.copy()
         wide.sigma = 1.0
         with pytest.raises(ValueError):
-            row_ratio_check(a, wide, 0.5, dual_norm=1.0)
+            row_ratio_check(a, wide)
 
     def test_nan_part_gives_nan(self):
         # Python's max would skip a NaN that is not its first argument
@@ -353,8 +353,7 @@ class TestValidatePlantedRegime:
 class TestPlantedCertificate:
     def test_noiseless_certificate_tight(self):
         a, model, sol = noiseless_planted_solve()
-        report = build_planted_certificate(a, model, sol,
-                                           1.0 / math.sqrt(20.0))
+        report = build_planted_certificate(a, model, sol)
         assert report.w12 <= 1e-8 and report.w21 <= 1e-8 and report.w22 <= 1e-8
         assert report.w11 <= 1e-6
         assert np.abs(report.v[:4, 5:]).max() <= 1e-12
@@ -371,7 +370,7 @@ class TestPlantedCertificate:
             if not (set(sol.support_rows) <= set(range(20))
                     and set(sol.support_cols) <= set(range(20))):
                 continue
-            report = build_planted_certificate(inst.a, model, sol, theta)
+            report = build_planted_certificate(inst.a, model, sol)
             passes += report.passed
         assert passes >= 18
 
@@ -383,7 +382,7 @@ class TestPlantedCertificate:
         sol = solve(inst.a, tight(theta))
         if (set(sol.support_rows) <= set(range(20))
                 and set(sol.support_cols) <= set(range(20))):
-            report = build_planted_certificate(inst.a, model, sol, theta)
+            report = build_planted_certificate(inst.a, model, sol)
             assert not report.passed
 
     def test_support_mismatch_rejected(self):
@@ -391,7 +390,7 @@ class TestPlantedCertificate:
         inst = plant_rank_one(model, seed=3)
         sol = solve(np.ones((12, 10)) + np.eye(12, 10), tight(0.01))
         with pytest.raises(ValueError):
-            build_planted_certificate(inst.a, model, sol, 0.1)
+            build_planted_certificate(inst.a, model, sol)
 
 
 class TestTopBlock:

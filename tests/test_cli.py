@@ -8,6 +8,7 @@ from dataclasses import asdict, fields
 import numpy as np
 import pytest
 
+from laros import nmf
 from laros.cli import main
 from laros.generate import plant_biclique, two_block_matrix
 from laros.linalg import norm, theta_norm
@@ -526,6 +527,37 @@ class TestNmfCommand:
         assert capsys.readouterr().err == (
             f"laros nmf: --theta takes comma-separated numbers, got "
             f"{message}\n")
+
+    def _nmf(self, path, theta, features, tmp_path):
+        return run(["nmf", "--input", path, "--theta", theta,
+                    "--features", features,
+                    "--w-output", str(tmp_path / "w.mtx"),
+                    "--h-output", str(tmp_path / "h.mtx"),
+                    "--output", str(tmp_path / "nmf.json")])
+
+    @pytest.mark.parametrize("theta, features, message", [
+        ("0.1,0.2,0.3", "2", "theta schedule has 3 entries, expected 2"),
+        ("0.5", "0", "feature count must be >= 1"),
+        ("0.5", "-1", "feature count must be >= 1")],
+        ids=["schedule-length", "zero-features", "negative-features"])
+    def test_round_count_checked(self, demo_matrix, tmp_path, capsys,
+                                 theta, features, message):
+        assert self._nmf(demo_matrix, theta, features, tmp_path) == 1
+        assert capsys.readouterr().err == f"laros nmf: {message}\n"
+        assert list(tmp_path.iterdir()) == [tmp_path / "demo.mtx"]
+
+    def test_schedule_checked_before_first_solve(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # a NaN in a later round fails before the first round solves
+        def no_solve(*args):
+            raise AssertionError("solve called")
+        monkeypatch.setattr(nmf, "solve", no_solve)
+        path = tmp_path / "rank-one.mtx"
+        write_matrix(path, np.outer([1.0, 2.0, 3.0], [1.0, 0.5, 2.0, 1.0]))
+        assert self._nmf(str(path), "0.01,nan", "2", tmp_path) == 1
+        assert capsys.readouterr().err == (
+            "laros nmf: theta must be finite and nonnegative, got nan\n")
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestBicliqueCommand:

@@ -13,9 +13,10 @@ from laros.solver import (ConvergenceError, SolverConfig, extract_rank_one,
                           solve)
 
 
-def tight():
-    return SolverConfig(theta=0.0, tol_primal=1e-9, tol_dual=1e-9,
-                        tol_gap=1e-9)
+def rounds(p, theta):
+    """p rounds at `theta`, each at tolerances 1e-9."""
+    return p * [SolverConfig(theta=theta, tol_primal=1e-9, tol_dual=1e-9,
+                             tol_gap=1e-9)]
 
 
 def block_diag_rank_one(rng, sizes, scales):
@@ -67,7 +68,7 @@ class TestGreedyExtract:
         rng = np.random.default_rng(2)
         a = block_diag_rank_one(rng, [(6, 5), (7, 8)], [3.0, 2.0])
         theta = 0.5 / np.sqrt(a.size)
-        res = greedy_extract(a, 2, theta, tight())
+        res = greedy_extract(a, rounds(2, theta))
         assert res.extracted == 2
         assert res.residual_norms[2] <= 1e-6 * np.linalg.norm(a)
         # the two features cover exactly the two diagonal blocks (the
@@ -77,29 +78,29 @@ class TestGreedyExtract:
                          (tuple(range(6, 13)), tuple(range(5, 13)))}
 
     def test_two_block_fixture_first_feature(self):
-        res = greedy_extract(two_block_matrix(), 1, 0.5, tight())
+        res = greedy_extract(two_block_matrix(), rounds(1, 0.5))
         assert set(res.supports[0].rows) == {3, 4, 5}
         assert set(res.supports[0].cols) == {3, 4, 5}
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
-            greedy_extract(np.zeros((3, 3)), 1, 0.1, tight())
+            greedy_extract(np.zeros((3, 3)), rounds(1, 0.1))
 
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
-            greedy_extract(-np.ones((2, 2)), 1, 0.1, tight())
+            greedy_extract(-np.ones((2, 2)), rounds(1, 0.1))
 
     def test_short_count_on_exact_depletion(self):
         rng = np.random.default_rng(3)
         a = block_diag_rank_one(rng, [(4, 4)], [2.0])
-        res = greedy_extract(a, 3, 0.5 / np.sqrt(a.size), tight())
+        res = greedy_extract(a, rounds(3, 0.5 / np.sqrt(a.size)))
         assert res.short_count
         assert res.extracted < 3
 
     def test_factors_nonnegative_and_reconstruct(self):
         rng = np.random.default_rng(4)
         a = rng.random((10, 9)) + 0.05
-        res = greedy_extract(a, 3, 0.3 / np.sqrt(a.size), tight())
+        res = greedy_extract(a, rounds(3, 0.3 / np.sqrt(a.size)))
         assert res.w.min() >= 0.0 and res.h.min() >= 0.0
         approx = res.w @ res.h.T
         assert np.linalg.norm(a - approx) <= res.residual_norms[0]
@@ -107,13 +108,12 @@ class TestGreedyExtract:
     def test_residuals_nonincreasing(self):
         rng = np.random.default_rng(5)
         a = rng.random((8, 8)) + 0.1
-        res = greedy_extract(a, 4, 0.2 / np.sqrt(a.size), tight())
+        res = greedy_extract(a, rounds(4, 0.2 / np.sqrt(a.size)))
         assert np.all(np.diff(res.residual_norms) <= 1e-12)
 
-    @pytest.mark.parametrize("p", [0, -1])
-    def test_feature_count_checked(self, p):
+    def test_feature_count_checked(self):
         with pytest.raises(ValueError) as err:
-            greedy_extract(np.ones((3, 3)), p, 0.1, tight())
+            greedy_extract(np.ones((3, 3)), [])
         assert str(err.value) == "feature count must be >= 1"
 
     def test_negative_leading_pair_rejected(self, monkeypatch):
@@ -124,21 +124,16 @@ class TestGreedyExtract:
             return replace(lead, u=-lead.u)
         monkeypatch.setattr(nmf, "extract_rank_one", flipped)
         with pytest.raises(ValueError) as err:
-            greedy_extract(two_block_matrix(), 2, 0.5, tight())
+            greedy_extract(two_block_matrix(), rounds(2, 0.5))
         assert str(err.value) == ("round 1: leading singular pair is not "
                                   "nonnegative (tied singular values?)")
 
-    def test_theta_schedule_length_checked(self):
-        a = np.ones((3, 3))
-        with pytest.raises(ValueError):
-            greedy_extract(a, 2, [0.1, 0.2, 0.3], tight())
-
     def test_unconverged_round_raises(self):
         # the message reports the residuals of the failing first round
-        config = SolverConfig(theta=0.0, max_iters=1)
-        first = solve(two_block_matrix(), replace(config, theta=0.5))
+        config = SolverConfig(theta=0.5, max_iters=1)
+        first = solve(two_block_matrix(), config)
         with pytest.raises(ConvergenceError) as err:
-            greedy_extract(two_block_matrix(), 2, 0.5, config)
+            greedy_extract(two_block_matrix(), [config, config])
         assert str(err.value) == (
             "round 1: solver stopped at iteration 1 with residuals "
             f"primal={first.primal_residual:.2e} "
@@ -153,8 +148,8 @@ class TestGreedyExtract:
         # the problem is homogeneous in a: the supports are those at scale
         # 1, and the residual norms scale with a
         a = two_block_matrix()
-        ref = greedy_extract(a, 2, 0.5, tight())
-        res = greedy_extract(scale * a, 2, 0.5, tight())
+        ref = greedy_extract(a, rounds(2, 0.5))
+        res = greedy_extract(scale * a, rounds(2, 0.5))
         assert res.extracted == ref.extracted == 2
         for got, want in zip(res.supports, ref.supports):
             assert np.array_equal(got.rows, want.rows)
@@ -165,7 +160,7 @@ class TestGreedyExtract:
     def test_per_round_schedule_accepted(self):
         rng = np.random.default_rng(6)
         a = block_diag_rank_one(rng, [(4, 4), (5, 5)], [3.0, 2.0])
-        res = greedy_extract(a, 2, [0.05, 0.08], tight())
+        res = greedy_extract(a, rounds(1, 0.05) + rounds(1, 0.08))
         assert res.extracted == 2
 
 
@@ -173,7 +168,7 @@ class TestGreedyInvariants:
     def test_features_match_round_supports(self):
         rng = np.random.default_rng(7)
         a = rng.random((9, 7)) + 0.1
-        res = greedy_extract(a, 3, 0.25 / np.sqrt(a.size), tight())
+        res = greedy_extract(a, rounds(3, 0.25 / np.sqrt(a.size)))
         for k, block in enumerate(res.supports):
             w_support = np.flatnonzero(res.w[:, k])
             h_support = np.flatnonzero(res.h[:, k])
@@ -183,7 +178,7 @@ class TestGreedyInvariants:
     def test_strict_decrease_while_nonzero(self):
         rng = np.random.default_rng(8)
         a = rng.random((8, 8)) + 0.1
-        res = greedy_extract(a, 3, 0.2 / np.sqrt(a.size), tight())
+        res = greedy_extract(a, rounds(3, 0.2 / np.sqrt(a.size)))
         norms = res.residual_norms
         for k in range(res.extracted):
             assert norms[k + 1] < norms[k]

@@ -214,7 +214,7 @@ class TestNmfProperties:
         rng = np.random.default_rng(80)
         for case in range(60):
             a = rng.random((6, 6)) + 0.05
-            res = greedy_extract(a, 2, 0.3 / 6.0, fast(0.0))
+            res = greedy_extract(a, 2 * [fast(0.3 / 6.0)])
             assert res.w.min() >= 0.0 and res.h.min() >= 0.0
             norms = res.residual_norms
             assert np.all(np.diff(norms) <= 1e-12)

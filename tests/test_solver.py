@@ -868,9 +868,26 @@ class TestPolish:
         if failure == "LinAlgError":
             assert "polish_steps" not in polished
         else:
-            assert polished["cert_residual"] == 1.0
+            assert polished["polish_cert_residual"] == 1.0
         for h, ref in zip(sol.history, want.history):
             assert h == ref or h is polished
+
+    def test_declined_polish_keeps_splitting_check(self, monkeypatch):
+        # the demo at theta 1e10 plateaus: the polish at 1600 declines
+        # (its best candidate scores 5.6e-8 against tol_gap 1e-8), and
+        # that entry keeps the splitting's check (1.4e-6, as at 1575)
+        a, config = two_block_matrix(), SolverConfig(theta=1e10,
+                                                     max_iters=2000)
+        sol = solve(a, config)
+        monkeypatch.setattr(solver_module, "_POLISH_MAX_ENTRIES", 0)
+        want = solve(a, config)
+        assert sol.stop_reason == want.stop_reason == "max_iters"
+        entry = {h["iteration"]: h for h in sol.history}[
+            solver_module._POLISH_AT]
+        assert entry.pop("polish_steps") > 0
+        assert 1e-8 < entry.pop("polish_cert_residual") < entry[
+            "cert_residual"]
+        assert sol.history == want.history
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 20), st.integers(1, 20), st.integers(0, 2**32 - 1),
