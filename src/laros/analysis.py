@@ -12,6 +12,14 @@ from .linalg import (_gram_singular_values, _scale_exponent, _support_svd,
 LOG7 = math.log(7.0)
 
 
+def _nonnegative_matrix(a, name="matrix"):
+    """as_matrix(a), after a ValueError if an entry is negative."""
+    am = as_matrix(a)
+    if am.min() < 0:
+        raise ValueError(f"{name} must be nonnegative")
+    return am
+
+
 def _clamp_nonnegative(u, v, message):
     """u and v with entries clamped at 0, after a ValueError(message) if
     an entry of either lies below -1e-8, beyond the roundoff of a
@@ -77,9 +85,7 @@ def theta_B(a, block):
     when the mean-dominance hypothesis fails (a distinct outcome, never
     encoded as a number).
     """
-    am = as_matrix(a)
-    if am.min() < 0:
-        raise ValueError("matrix must be nonnegative")
+    am = _nonnegative_matrix(a)
     block.validate(am.shape)
     if block.covers(am.shape):
         raise ValueError("block must not cover the whole matrix")
@@ -102,35 +108,29 @@ def row_zero_threshold(a, i, j):
     0 when row j is identically zero (any positive theta works), and None
     when the domination hypothesis fails.
     """
-    am = as_matrix(a)
-    if am.min() < 0:
-        raise ValueError("matrix must be nonnegative")
+    am = _nonnegative_matrix(a)
     if i == j:
         raise ValueError("row indices must differ")
     m = am.shape[0]
     if not (0 <= i < m and 0 <= j < m):
         raise ValueError(f"row index out of range for {m} rows")
-    peak_j = float(am[j].max())
-    if peak_j == 0.0:
-        return 0.0
-    alpha = float(am[i].min()) / peak_j
-    if alpha <= 1.0:
-        return None
-    return 1.0 / (alpha - 1.0)
+    return _row_zero_table(am[[i, j]])[0][1]
 
 
 def row_zero_thresholds(a):
     """Table of row_zero_threshold(a, i, j) over all row pairs, None on the
-    diagonal, as a list of rows.
-
-    Computed from the row minima and maxima with the same floating-point
-    operations as the per-pair function, so every value is bit-identical.
-    """
+    diagonal, as a list of rows."""
     am = as_matrix(a)
-    m = am.shape[0]
     # as the per-pair function: a single row has no pair to reject
-    if m > 1 and am.min() < 0:
-        raise ValueError("matrix must be nonnegative")
+    if am.shape[0] > 1:
+        _nonnegative_matrix(am)
+    return _row_zero_table(am)
+
+
+def _row_zero_table(am):
+    """row_zero_threshold over all row pairs of matrix am, from its row
+    minima and maxima, as a list of rows with None on the diagonal."""
+    m = am.shape[0]
     peaks = am.max(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         alpha = am.min(axis=1)[:, None] / peaks[None, :]

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import BlockSelector
+from .linalg import _check_nonnegative
 
 NOISE_FAMILIES = ("uniform", "bernoulli")
 
@@ -29,8 +30,7 @@ def _check_noise(family, sigma0, c3):
     # written so that NaN fails too
     if not 0.0 < sigma0 < math.inf:
         raise ValueError(f"sigma0 must be finite and positive, got {sigma0}")
-    if not 0.0 <= c3 < math.inf:
-        raise ValueError(f"c3 must be finite and nonnegative, got {c3}")
+    _check_nonnegative(c3, "c3")
     if 2.0 * c3 * sigma0 == math.inf:
         raise ValueError(f"noise bound 2*c3*sigma0 overflows at c3={c3}, "
                          f"sigma0={sigma0}")
@@ -66,10 +66,7 @@ class PlantedModel:
             raise ValueError("block must be strictly smaller than the matrix")
         _check_noise(self.noise_family, self.sigma0, self.c3)
         for name in ("c1", "c2"):
-            v = getattr(self, name)
-            if not 0.0 <= v < math.inf:
-                raise ValueError(
-                    f"{name} must be finite and nonnegative, got {v}")
+            _check_nonnegative(getattr(self, name), name)
         # a bound on the entries, formed in the order plant_rank_one forms
         # them, so that no intermediate of a model that passes overflows
         peak = self.sigma0 * ((1.0 + self.c1 * math.sqrt(self.M))

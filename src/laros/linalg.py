@@ -53,16 +53,16 @@ def norm(a, kind):
     raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
 
 
-def _check_theta(theta):
-    """Raise ValueError unless theta is finite and nonnegative."""
+def _check_nonnegative(value, name):
+    """Raise ValueError unless value is finite and nonnegative."""
     # written so that NaN fails too
-    if not 0.0 <= theta < math.inf:
-        raise ValueError(f"theta must be finite and nonnegative, got {theta}")
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
 
 
 def theta_norm(a, theta):
     """Composite norm: nuclear norm plus theta times the entrywise l1 norm."""
-    _check_theta(theta)
+    _check_nonnegative(theta, "theta")
     m = as_matrix(a)
     return norm(m, "nuclear") + theta * norm(m, "l1")
 

@@ -279,11 +279,11 @@ def read_certificate(path, shape):
     """Read a `write_certificate` file as a `DualCertificate`.
 
     Raises ValueError naming the file and the field when the file is not a
-    JSON object, a field is missing, not numeric or not finite,
-    `linf_argmax_count` is not a nonnegative integer, or `y` or `z` is not
-    a matrix of `shape` (the shape of A). A field with a default
-    in `DualCertificate` (`spectral_gap`, `linf_argmax_count`) may be
-    missing.
+    JSON object, a field is missing, not numeric (a JSON boolean in a
+    scalar field is not) or not finite, `linf_argmax_count` is not a
+    nonnegative integer, or `y` or `z` is not a matrix of `shape` (the
+    shape of A). A field with a default in `DualCertificate`
+    (`spectral_gap`, `linf_argmax_count`) may be missing.
     """
     with open(path, "r", encoding="utf-8-sig") as handle:
         try:
@@ -311,6 +311,8 @@ def read_certificate(path, shape):
             if is_matrix:
                 value = np.array(raw[key], dtype=float)
                 finite = np.isfinite(value).all()
+            elif isinstance(raw[key], bool):
+                raise TypeError  # float() and int() read JSON true as 1
             else:
                 value = f.type(raw[key])
                 finite = math.isfinite(value)

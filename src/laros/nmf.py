@@ -7,8 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import BlockSelector, _clamp_nonnegative
-from .linalg import _scale_exponent, as_matrix
+from .analysis import BlockSelector, _clamp_nonnegative, _nonnegative_matrix
+from .linalg import _scale_exponent
 from .solver import ConvergenceError, extract_rank_one, solve
 
 
@@ -38,11 +38,14 @@ class NmfResult:
 
 def residual_update(r, sigma, u, v, block):
     """Subtract the feature sigma*u*v^T on `block` from residual `r` and
-    clamp negatives to zero. u and v live on the block's rows/cols."""
-    rm = as_matrix(r)
-    if rm.min() < 0:
-        raise ValueError("residual must be nonnegative")
+    clamp negatives to zero. u and v are 1-D, one entry per row and per
+    column of the block."""
+    rm = _nonnegative_matrix(r, "residual")
     block.validate(rm.shape)
+    shapes = np.shape(u), np.shape(v)
+    if shapes != (block.rows.shape, block.cols.shape):
+        raise ValueError(f"factor shapes {shapes[0]} and {shapes[1]} do not "
+                         f"fit the {block.rows.size}x{block.cols.size} block")
     out = rm.copy()
     sub = out[np.ix_(block.rows, block.cols)]
     out[np.ix_(block.rows, block.cols)] = np.maximum(
@@ -60,9 +63,7 @@ def greedy_extract(a, configs):
     numerically zero. Raises ConvergenceError if an inner solve fails to
     converge.
     """
-    am = as_matrix(a)
-    if am.min() < 0:
-        raise ValueError("input must be nonnegative")
+    am = _nonnegative_matrix(a, "input")
     if not am.any():
         raise ValueError("input matrix is zero")
     if not configs:

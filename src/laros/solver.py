@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import (_check_theta, _gram_singular_values, _l1_prox,
+from .linalg import (_check_nonnegative, _gram_singular_values, _l1_prox,
                      _nuclear_prox, _scale_exponent, _support_svd, as_matrix)
 
 
@@ -98,7 +98,7 @@ class SolverConfig:
     tol_gap: float = 1e-8         # check_optimality max_residual
 
     def __post_init__(self):
-        _check_theta(self.theta)
+        _check_nonnegative(self.theta, "theta")
         v = self.max_iters
         if not isinstance(v, numbers.Integral) or isinstance(v, bool) or v < 1:
             raise ValueError(f"max_iters must be an integer >= 1, got {v!r}")
@@ -797,7 +797,7 @@ def check_optimality(a, theta, x, cert):
     that is negative or not finite, or an x, cert.y or cert.z not of a's
     shape.
     """
-    _check_theta(theta)
+    _check_nonnegative(theta, "theta")
     am = as_matrix(a)
     xm = as_matrix(x)
     y, z = as_matrix(cert.y), as_matrix(cert.z)

@@ -219,10 +219,11 @@ class TestPlantCommand:
         ("--sigma0=nan", "sigma0 must be finite and positive, got nan"),
         ("--sigma0=inf", "sigma0 must be finite and positive, got inf"),
         ("--c1=nan", "c1 must be finite and nonnegative, got nan"),
+        ("--c2=-0.5", "c2 must be finite and nonnegative, got -0.5"),
         ("--c2=1e308", "entries can overflow at sigma0=1.0, c1=0.0, "
                        "c2=1e+308, c3=0.1")],
         ids=["c3-nan", "c3-inf", "c3-1e308", "sigma0-nan", "sigma0-inf",
-             "c1-nan", "c2-1e308"])
+             "c1-nan", "c2-negative", "c2-1e308"])
     def test_bad_model_parameter_named(self, tmp_path, capsys, flag,
                                        message):
         mtx = tmp_path / "inst.mtx"

@@ -374,6 +374,16 @@ class TestCertificateFile:
          "certificate field 'z' has shape (), expected (2, 2)"),
         (lambda r: r.update(linf_argmax_count=float("inf")),
          "certificate field 'linf_argmax_count' is not a number"),
+        # a JSON boolean is not a number, though float() reads true as 1.0
+        pytest.param(lambda r: r.update(dual_norm=True),
+                     "certificate field 'dual_norm' is not a number",
+                     id="dual_norm-true"),
+        pytest.param(lambda r: r.update(spectral_gap=False),
+                     "certificate field 'spectral_gap' is not a number",
+                     id="spectral_gap-false"),
+        pytest.param(lambda r: r.update(linf_argmax_count=True),
+                     "certificate field 'linf_argmax_count' is not a "
+                     "number", id="linf_argmax_count-true"),
         (lambda r: r.update(dual_norm=float("nan")),
          "certificate field 'dual_norm' is not finite"),
         (lambda r: r.update(spectral_gap=float("-inf")),

@@ -56,11 +56,26 @@ class TestResidualUpdate:
         out = residual_update(r, 2.0, np.array([1.0]), np.array([1.0]), block)
         assert out[0, 0] == 0.0
 
+    @pytest.mark.parametrize("u, v, shapes", [
+        (np.ones(1), np.ones(1), "(1,) and (1,)"),
+        (np.ones((2, 1)), np.ones(2), "(2, 1) and (2,)"),
+        (np.ones(2), np.ones(3), "(2,) and (3,)")],
+        ids=["broadcast", "column", "long-v"])
+    def test_factors_must_fit_block(self, u, v, shapes):
+        # NumPy would broadcast a length-1 pair over the whole block, and
+        # np.outer flattens a column
+        block = BlockSelector(rows=[0, 1], cols=[0, 1])
+        with pytest.raises(ValueError) as err:
+            residual_update(np.full((3, 3), 2.0), 1.0, u, v, block)
+        assert str(err.value) == (f"factor shapes {shapes} do not fit the "
+                                  "2x2 block")
+
     def test_negative_residual_rejected(self):
         block = BlockSelector(rows=np.array([0]), cols=np.array([0]))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             residual_update(np.array([[-1.0]]), 1.0, np.ones(1), np.ones(1),
                             block)
+        assert str(err.value) == "residual must be nonnegative"
 
 
 class TestGreedyExtract:
@@ -87,8 +102,9 @@ class TestGreedyExtract:
             greedy_extract(np.zeros((3, 3)), rounds(1, 0.1))
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as err:
             greedy_extract(-np.ones((2, 2)), rounds(1, 0.1))
+        assert str(err.value) == "input must be nonnegative"
 
     def test_short_count_on_exact_depletion(self):
         rng = np.random.default_rng(3)
