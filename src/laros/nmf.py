@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import BlockSelector, _clamp_nonnegative, _nonnegative_matrix
-from .linalg import _scale_exponent
+from .linalg import _check_nonnegative, _scale_exponent
 from .solver import ConvergenceError, extract_rank_one, solve
 
 
@@ -39,7 +39,8 @@ class NmfResult:
 def residual_update(r, sigma, u, v, block):
     """Subtract the feature sigma*u*v^T on `block` from residual `r` and
     clamp negatives to zero. u and v are 1-D, one entry per row and per
-    column of the block."""
+    column of the block; sigma is finite and nonnegative."""
+    _check_nonnegative(sigma, "sigma")
     rm = _nonnegative_matrix(r, "residual")
     block.validate(rm.shape)
     shapes = np.shape(u), np.shape(v)

@@ -55,24 +55,29 @@ _PENALTY = 1.5
 # magnitude exceeds _SUPPORT_TOL ||X||_inf.
 _SUPPORT_TOL = 1e-6
 # The interior-point polish (_polish) of a dual-degenerate solve, whose
-# residuals decay as 1/k. It runs once, at the stopping test of iteration
-# _POLISH_AT (it and _POLISH_AT // 2 are multiples of _CHECK_EVERY), on a
-# solve with theta > 0 and at most _POLISH_MAX_ENTRIES entries that has not
-# stopped there, and whose primal residual there is at least _POLISH_PLATEAU
-# times that at _POLISH_AT // 2 (1/k decay reads 0.5). On c04's 100
-# matrices (15 x 15, rng 40, theta 1.5, cap 15000) it fires on the 21 that
-# reach the cap and on one that certifies by splitting at 12475 (#69); every
-# other certifier stops by 5375. At 800 it would also fire on four more
-# certifiers (#3, 36, 79, 98), and at 1013 or before on #3, which the
-# history tests pin as capped at 1013.
-_POLISH_AT = 1600
+# residuals decay as 1/k. Its plateau test runs at the stopping tests of
+# the iterations k = _POLISH_FIRST * 2^j below max_iters (each of k and k/2
+# a multiple of _CHECK_EVERY), on a solve with theta > 0 and at most
+# _POLISH_MAX_ENTRIES entries that has not stopped there: it passes where
+# the primal residual at k is at least _POLISH_PLATEAU times that at k/2
+# (1/k decay reads 0.5). The first test that passes runs the polish, and
+# no later one: the polish starts cold from A, theta and tol_gap alone, so
+# a second would repeat a declined result. On c04's 100 matrices (15 x 15,
+# rng 40, theta 1.5, cap 15000) it fires at 800 on 26: the 21 that reach
+# the cap without it, and #3, 36, 69, 79 and 98, which certify by
+# splitting at 2625-12475 without it. The other 74 certify by splitting by
+# 1950, and those past 800 did not plateau there. A ladder from 400 would
+# also polish a 4 x 5 matrix that certifies by splitting at 850
+# (test_properties.py's scale-invariance case), and the polish's Y then
+# differs across input scales by up to 3e-8 of max |A|.
+_POLISH_FIRST = 800
 _POLISH_PLATEAU = 0.2
 # The polish solves a dense (mn + 1)^2 Schur complement twice per step.
 # One polish of a random uniform matrix at theta 1.5 (one BLAS thread,
 # 2-core Xeon) costs 26 ms at 10 x 10, 73 ms at 15 x 15, 0.27 s at
 # 20 x 20, 1.2 s at 30 x 30 and 2.1 s at 30 x 40, against 1600 splitting
 # iterations of 0.08 s at 15 x 15 and 0.2 s at 20 x 20: up to 400 entries
-# it costs about what the splitting has spent by _POLISH_AT, and its
+# it costs about what the splitting has spent by 1600, and its
 # Schur complement is 1.3 MB.
 _POLISH_MAX_ENTRIES = 400
 # The polish stops once its report passes at _POLISH_MARGIN tol_gap, and
@@ -591,8 +596,9 @@ def solve(a, config):
     gap and cert_residual are its gap and max_residual.
 
     On a small problem whose residuals decay as 1/k (a dual-degenerate
-    one), the stopping test at iteration _POLISH_AT (1600) runs an
-    interior-point solve of the dual (_polish) once. If its candidate and
+    one), the first of the stopping tests at iterations 800, 1600, 3200, ...
+    (_POLISH_FIRST doubled) that finds that plateau runs an interior-point
+    solve of the dual (_polish), once per solve. If its candidate and
     certificate pass the same report at tol_gap, the solve stops there
     with them (stop_reason "polished"); otherwise, or where the polish
     fails to factor a matrix, the splitting goes on as if it had not run.
@@ -628,8 +634,12 @@ def solve(a, config):
 
     history = []
     stop_reason = "max_iters"
-    polishable = theta > 0 and a.size <= _POLISH_MAX_ENTRIES
-    r_half = math.inf    # the primal residual at iteration _POLISH_AT // 2
+    # the iteration of the next plateau test, 0 where the polish cannot run
+    # or has run; the first, at _POLISH_FIRST // 2, only reads the residual
+    # that the test at _POLISH_FIRST compares with
+    plateau_at = (_POLISH_FIRST // 2
+                  if theta > 0 and a.size <= _POLISH_MAX_ENTRIES else 0)
+    r_half = math.nan    # the primal residual at iteration plateau_at // 2
 
     def record(entry, chk):
         # dual - 1/lam in the units of am: the dual scales by 2^e
@@ -680,8 +690,6 @@ def solve(a, config):
         entry = {"iteration": k, "primal_residual": r_rel,
                  "dual_residual": s_rel, "step": math.ldexp(_RELAX * r, -e)}
         history.append(entry)
-        if k == _POLISH_AT // 2:
-            r_half = r_rel
         can_stop = r_rel <= config.tol_primal and s_rel <= config.tol_dual
         if can_stop or k == config.max_iters:
             if h <= 0.0:
@@ -702,20 +710,25 @@ def solve(a, config):
             if can_stop and chk.report.passed(config.tol_gap):
                 stop_reason = "converged"
                 break
-        if (k == _POLISH_AT and k < config.max_iters and polishable
-                and r_rel >= _POLISH_PLATEAU * r_half):
-            try:
-                polished, steps = _polish(a, theta, config.tol_gap)
-            except np.linalg.LinAlgError:
-                continue    # a factorization failed: the splitting goes on
-            entry["polish_steps"] = steps
-            if polished is not None:
-                if polished.report.passed(config.tol_gap):
-                    record(entry, polished)
-                    chk, stop_reason = polished, "polished"
-                    break
-                # declined: the entry keeps the splitting's own check
-                entry["polish_cert_residual"] = polished.report.max_residual
+        if k != plateau_at:
+            continue
+        if (k < _POLISH_FIRST or r_rel < _POLISH_PLATEAU * r_half
+                or k == config.max_iters):
+            plateau_at, r_half = 2 * k, r_rel
+            continue
+        plateau_at = 0      # a polish runs once per solve
+        try:
+            polished, steps = _polish(a, theta, config.tol_gap)
+        except np.linalg.LinAlgError:
+            continue    # a factorization failed: the splitting goes on
+        entry["polish_steps"] = steps
+        if polished is not None:
+            if polished.report.passed(config.tol_gap):
+                record(entry, polished)
+                chk, stop_reason = polished, "polished"
+                break
+            # declined: the entry keeps the splitting's own check
+            entry["polish_cert_residual"] = polished.report.max_residual
 
     cert = _dual_certificate(chk, e)
     lam, report = chk.lam, chk.report

@@ -1,5 +1,6 @@
 """Tests for the greedy factorization driver."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -69,6 +70,16 @@ class TestResidualUpdate:
             residual_update(np.full((3, 3), 2.0), 1.0, u, v, block)
         assert str(err.value) == (f"factor shapes {shapes} do not fit the "
                                   "2x2 block")
+
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+    def test_sigma_must_be_finite_nonnegative(self, sigma):
+        # NaN made the whole residual NaN, and -1 added the feature
+        block = BlockSelector(rows=np.array([0]), cols=np.array([0]))
+        with pytest.raises(ValueError) as err:
+            residual_update(np.ones((2, 2)), sigma, np.ones(1), np.ones(1),
+                            block)
+        assert str(err.value) == (f"sigma must be finite and nonnegative, "
+                                  f"got {sigma}")
 
     def test_negative_residual_rejected(self):
         block = BlockSelector(rows=np.array([0]), cols=np.array([0]))

@@ -405,9 +405,10 @@ class TestSolverInvariants:
 
     @pytest.mark.parametrize("case", [1, 3])
     def test_history_schema(self, case):
-        # c04 #1 converges at iteration 100; #3 is capped at 1013
-        config = SolverConfig(theta=1.5, max_iters=1013)
-        sol = solve(c04_instances()[case], config)
+        # c04 #1 converges at iteration 100; #3 is capped at 788, before
+        # the polish's first plateau test at 800
+        config = SolverConfig(theta=1.5, max_iters=788)
+        sol = solve(c04_matrix(case), config)
         assert sol.converged == (case == 1)
         history = sol.history
         # a stopping test at 8, 16 and 24, at every multiple of 25 and at
@@ -572,10 +573,10 @@ class TestMemoryLayout:
         assert_same_solve(f_order, c_order)
 
 
-def c04_instances():
-    """The first four matrices of the c04 nonnegativity corpus."""
+def c04_matrix(index):
+    """Matrix `index` of the c04 nonnegativity corpus (rng 40)."""
     rng = np.random.default_rng(40)
-    return [rng.random((15, 15)) for _ in range(4)]
+    return [rng.random((15, 15)) for _ in range(index + 1)][index]
 
 
 class TestGatedChecks:
@@ -592,11 +593,11 @@ class TestGatedChecks:
             config = SolverConfig(theta=1.0 / 40, tol_primal=1e-7,
                                   tol_dual=1e-7, tol_gap=1e-7)
         else:
-            a = c04_instances()[(0, 1, 3)[case - 1]]
-            # 1013 is not a multiple of 25: the capped solve's last check
-            # is its forced one at max_iters
+            a = c04_matrix((0, 1, 3)[case - 1])
+            # 788 is not a multiple of 25: the capped solve's last check is
+            # its forced one at max_iters, before the polish could run
             config = SolverConfig(theta=1.5, max_iters=(15000, 15000,
-                                                        1013)[case - 1])
+                                                        788)[case - 1])
         gated = solve(a, config)
         assert gated.converged == (case != 3)
         # residual tolerances every stopping test passes and a gap none
@@ -618,7 +619,7 @@ class TestGatedChecks:
                 assert h == {k: ref[k] for k in ("iteration",
                              "primal_residual", "dual_residual", "step")}
         if not gated.converged:
-            assert gated.iterations == config.max_iters == 1013
+            assert gated.iterations == config.max_iters == 788
             assert np.isfinite(gated.cert_residual)
 
 
@@ -747,7 +748,9 @@ class TestGapStop:
     residuals."""
 
     def test_residual_alone_does_not_stop(self, monkeypatch):
-        config = SolverConfig(theta=0.5, max_iters=1500)
+        # capped before the polish's first plateau test at 800, which the
+        # demo's flat residual at the rounding floor would pass
+        config = SolverConfig(theta=0.5, max_iters=750)
         assert solve(two_block_matrix(), config).iterations == 350
         check = solver_module._check
 
@@ -760,7 +763,7 @@ class TestGapStop:
 
         monkeypatch.setattr(solver_module, "_check", gapped)
         sol = solve(two_block_matrix(), config)
-        assert not sol.converged and sol.iterations == 1500
+        assert not sol.converged and sol.iterations == 750
         assert sol.gap == 1.0 and sol.cert_residual == 1.0
 
 
@@ -795,26 +798,20 @@ class TestOneScorer:
         assert converged >= 30
 
 
-def c04_matrix(index):
-    """Matrix `index` of the c04 nonnegativity corpus (rng 40)."""
-    rng = np.random.default_rng(40)
-    return [rng.random((15, 15)) for _ in range(index + 1)][index]
-
-
 class TestPolish:
     """The interior-point polish of a dual-degenerate plateau: it stops a
     solve only with a certificate that passes at tol_gap, and otherwise
     leaves the splitting to run as if it had not run."""
 
     # c04 #5 reaches the cap of 15000 by splitting; 2000 is past the
-    # polish at 1600 and costs a seventh of the full cap
+    # plateau tests at 800 and 1600 and costs a seventh of the full cap
     CONFIG = SolverConfig(theta=1.5, max_iters=2000)
 
     def test_capped_c04_solve_polished(self):
         a = c04_matrix(5)
         sol = solve(a, SolverConfig(theta=1.5, max_iters=15000))
         assert sol.converged and sol.stop_reason == "polished"
-        assert sol.iterations == solver_module._POLISH_AT
+        assert sol.iterations == solver_module._POLISH_FIRST
         history = sol.history
         # the polish updates its stopping test's entry and appends none
         want = [8, 16, 24] + list(range(25, sol.iterations + 1, 25))
@@ -829,6 +826,50 @@ class TestPolish:
         assert report.gap == sol.gap
         assert sol.x.min() >= -1e-9
 
+    @pytest.mark.parametrize("index", [5, 9])
+    def test_polish_result_independent_of_plateau_test(self, monkeypatch,
+                                                       index):
+        # the polish starts cold from A, theta and tol_gap: run at the
+        # plateau test of 800, it returns what it returns at 1600
+        a, config = c04_matrix(index), SolverConfig(theta=1.5,
+                                                    max_iters=15000)
+        sol = solve(a, config)
+        monkeypatch.setattr(solver_module, "_POLISH_FIRST", 1600)
+        late = solve(a, config)
+        assert sol.stop_reason == late.stop_reason == "polished"
+        assert (sol.iterations, late.iterations) == (800, 1600)
+        np.testing.assert_array_equal(sol.x, late.x)
+        cert, want = sol.certificate, late.certificate
+        np.testing.assert_array_equal(cert.y, want.y)
+        np.testing.assert_array_equal(cert.z, want.z)
+        assert cert.dual_norm == want.dual_norm
+        assert (sol.objective, sol.gap, sol.cert_residual) == (
+            late.objective, late.gap, late.cert_residual)
+
+    def test_declined_polish_runs_once(self, monkeypatch):
+        polish = solver_module._polish
+        calls = []
+
+        def declining(*args):
+            calls.append(args)
+            chk, steps = polish(*args)
+            return chk._replace(report=replace(chk.report, gap=1.0)), steps
+
+        monkeypatch.setattr(solver_module, "_polish", declining)
+        config = SolverConfig(theta=1.5, max_iters=15000)
+        sol = solve(c04_matrix(7), config)
+        assert len(calls) == 1
+        assert sol.stop_reason == "max_iters"
+        assert sol.iterations == config.max_iters
+        polished = [h["iteration"] for h in sol.history if "polish_steps" in h]
+        assert polished == [solver_module._POLISH_FIRST]
+        # the splitting plateaus at every later plateau test too (1600 to
+        # 12800), where a second polish would have run
+        r = {h["iteration"]: h["primal_residual"] for h in sol.history}
+        later = [1600 * 2 ** j for j in range(4)]
+        assert all(r[k] >= solver_module._POLISH_PLATEAU * r[k // 2]
+                   for k in later)
+
     def test_splitting_certifier_unpolished(self):
         # c04 #0 certifies by splitting at 100 iterations, before the
         # polish could run
@@ -839,7 +880,7 @@ class TestPolish:
     @pytest.mark.parametrize("failure", ["report fails", "LinAlgError"])
     def test_failed_polish_leaves_splitting(self, monkeypatch, failure):
         a = c04_matrix(5)
-        # the result without the polish: the parent's, which never polished
+        # the result of a solve that cannot polish
         monkeypatch.setattr(solver_module, "_POLISH_MAX_ENTRIES", 0)
         want = solve(a, self.CONFIG)
         monkeypatch.undo()
@@ -856,6 +897,8 @@ class TestPolish:
 
         monkeypatch.setattr(solver_module, "_polish", failing)
         sol = solve(a, self.CONFIG)
+        # one call: the polish ran at the first plateau test and not again
+        # at 1600, which also finds the plateau
         assert len(calls) == 1
         assert not sol.converged and sol.stop_reason == "max_iters"
         assert sol.iterations == self.CONFIG.max_iters
@@ -863,19 +906,20 @@ class TestPolish:
         assert sol.non_unique == want.non_unique
         np.testing.assert_array_equal(sol.u, want.u)
         np.testing.assert_array_equal(sol.support_cols, want.support_cols)
-        polished = {h["iteration"]: h for h in sol.history}[
-            solver_module._POLISH_AT]
+        polished = [h for h in sol.history if "polish_steps" in h]
         if failure == "LinAlgError":
-            assert "polish_steps" not in polished
+            assert polished == []
         else:
-            assert polished["polish_cert_residual"] == 1.0
+            assert [h["iteration"] for h in polished] == [
+                solver_module._POLISH_FIRST]
+            assert polished[0]["polish_cert_residual"] == 1.0
         for h, ref in zip(sol.history, want.history):
-            assert h == ref or h is polished
+            assert h == ref or h in polished
 
     def test_declined_polish_keeps_splitting_check(self, monkeypatch):
-        # the demo at theta 1e10 plateaus: the polish at 1600 declines
+        # the demo at theta 1e10 plateaus: the polish at 800 declines
         # (its best candidate scores 5.6e-8 against tol_gap 1e-8), and
-        # that entry keeps the splitting's check (1.4e-6, as at 1575)
+        # that entry keeps the splitting's check (1.4e-6, as at 775)
         a, config = two_block_matrix(), SolverConfig(theta=1e10,
                                                      max_iters=2000)
         sol = solve(a, config)
@@ -883,7 +927,7 @@ class TestPolish:
         want = solve(a, config)
         assert sol.stop_reason == want.stop_reason == "max_iters"
         entry = {h["iteration"]: h for h in sol.history}[
-            solver_module._POLISH_AT]
+            solver_module._POLISH_FIRST]
         assert entry.pop("polish_steps") > 0
         assert 1e-8 < entry.pop("polish_cert_residual") < entry[
             "cert_residual"]
@@ -902,7 +946,7 @@ class TestPolish:
         a = np.random.default_rng(seed).standard_normal((m, n))
         config = SolverConfig(theta=theta, max_iters=100)
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(solver_module, "_POLISH_AT", 16)
+            patch.setattr(solver_module, "_POLISH_FIRST", 16)
             patch.setattr(solver_module, "_POLISH_PLATEAU", 0.0)
             sol = solve(a, config)
         if sol.stop_reason == "polished":
